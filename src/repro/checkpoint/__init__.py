@@ -1,7 +1,7 @@
-"""npz checkpoint store + cache/prefetch/async multi-level extensions."""
+"""npz checkpoint store + cache/prefetch/write-behind/sharded extensions."""
 
 from .cache import DEFAULT_CACHE_BYTES, WeightCache, make_cache, weights_nbytes
-from .multilevel import AsyncCheckpointWriter, MultiLevelStore
+from .multilevel import AsyncCheckpointWriter
 from .prefetch import ProviderPrefetcher
 from .sharded import ShardBreaker, ShardedCheckpointStore, StoreUnavailableError
 from .store import CheckpointInfo, CheckpointStore, CorruptCheckpointError
@@ -11,7 +11,6 @@ __all__ = [
     "CheckpointInfo",
     "CorruptCheckpointError",
     "AsyncCheckpointWriter",
-    "MultiLevelStore",
     "WeightCache",
     "ProviderPrefetcher",
     "ShardBreaker",

@@ -375,13 +375,18 @@ class SearchDriver:
         if key not in self._saved_keys and not store.exists(key):
             return None
         io0 = time.perf_counter()
+        weights = failure = None
         try:
             if writer is not None and not store.exists(key):
                 # enqueued but not yet durable (rare: cache evicted/off)
                 writer.flush()
             weights = store.load(key)
-        except CorruptCheckpointError:
-            record.add_io_blocked(time.perf_counter() - io0)
+        except (CorruptCheckpointError, FileNotFoundError) as exc:
+            failure = exc
+        # booked before a quarantine moves the archive away
+        record.add_io_blocked(self._io_seconds(
+            "load", key, time.perf_counter() - io0))
+        if isinstance(failure, CorruptCheckpointError):
             self.fault_stats.record_fault("corrupt_checkpoint")
             self.fault_stats.quarantined += 1
             store.quarantine(key)
@@ -389,13 +394,15 @@ class SearchDriver:
             if weight_cache is not None:
                 weight_cache.discard(key)
             return None                    # cold-start fallback
-        except FileNotFoundError:
-            record.add_io_blocked(time.perf_counter() - io0)
-            return None
-        record.add_io_blocked(time.perf_counter() - io0)
-        if weight_cache is not None:
+        if weights is not None and weight_cache is not None:
             weight_cache.put(key, weights)
         return weights
+
+    def _io_seconds(self, kind: str, key: str, measured: float) -> float:
+        """Seconds a checkpoint ``"load"`` or ``"save"`` of ``key``
+        blocks the loop.  A real search books the ``measured`` wall-clock
+        seconds; the simulator charges its cost model instead."""
+        return measured
 
     def _request_prefetch(self) -> None:
         if self.prefetcher is None:
@@ -408,6 +415,11 @@ class SearchDriver:
         """Ask the strategy for one proposal and dispatch its evaluation
         task (the re-entrant half of the old inner submit loop).  The
         caller is responsible for capacity — this method always submits."""
+        self._dispatch(self._prepare())
+
+    def _prepare(self) -> _Pending:
+        """Everything of a submission but the dispatch: ask, open the
+        record, pick and load the provider, build the evaluation task."""
         proposal = self.strategy.ask()
         candidate_id = self.submitted
         self.submitted += 1
@@ -434,8 +446,7 @@ class SearchDriver:
                 self.seed + candidate_id, self.backend, descriptor,
                 self.engine,
             )
-            self._dispatch(_Pending(record, task))
-            return
+            return _Pending(record, task)
         provider_ref = None
         if self.transfers:
             provider = self.policy.select(proposal, self.trace.ok_records(),
@@ -458,7 +469,7 @@ class SearchDriver:
             self.scheme if self.transfers else "lcs", self.transfers,
             self.engine,
         )
-        self._dispatch(_Pending(record, task))
+        return _Pending(record, task)
 
     def _dispatch(self, pend: _Pending) -> None:
         """(Re)submit a pending candidate's task to the evaluator."""
@@ -470,14 +481,22 @@ class SearchDriver:
             self.on_dispatch(ticket)
 
     # -- completion side -------------------------------------------------
-    def _finalize_record(self, pend: _Pending, record_update) -> None:
-        """Book one completed candidate (success or exhausted failure):
-        journal + tell + append, in that order, so the journal is at
-        least as durable as anything derived from the trace."""
+    def _stamp(self, pend: _Pending) -> TraceRecord:
         record = pend.record
         record.end_time = time.perf_counter() - self._t0
         record.attempts = pend.attempt
-        record_update(record)
+        return record
+
+    @staticmethod
+    def _mark_failed(record: TraceRecord, error: str) -> None:
+        record.ok = False
+        record.score = FAILURE_SCORE
+        record.error = error
+
+    def _land(self, record: TraceRecord) -> None:
+        """Book one completed candidate (success or exhausted failure):
+        journal + tell + append, in that order, so the journal is at
+        least as durable as anything derived from the trace."""
         if record.ok:
             self._arch_by_id[record.candidate_id] = record.arch_seq
         if self._journal is not None:
@@ -505,64 +524,67 @@ class SearchDriver:
             self._dispatch(pend)
             return
         self.fault_stats.failed_records += 1
-
-        def mark_failed(record: TraceRecord):
-            record.ok = False
-            record.score = FAILURE_SCORE
-            record.error = f"{failure.kind}: {failure.error}"
-        self._finalize_record(pend, mark_failed)
+        record = self._stamp(pend)
+        self._mark_failed(record, f"{failure.kind}: {failure.error}")
+        self._land(record)
 
     def _complete_success(self, pend: _Pending, result) -> None:
-        def apply(record: TraceRecord):
-            record.ok = result.ok
-            record.score = result.score
-            record.num_params = result.num_params
-            record.error = result.error
-            if result.transfer_stats is not None:
-                record.transferred = result.transfer_stats.transferred
-                record.transfer_coverage = result.transfer_stats.coverage
-                self._xfer_copied_bytes += int(getattr(
-                    result.transfer_stats, "copied_bytes", 0))
-                self._xfer_resliced += int(getattr(
-                    result.transfer_stats, "resliced_params", 0))
-            if self.backend is not None:
-                # nothing to checkpoint — the trained slices already
-                # live in the entangled store.  A caller-supplied cache
-                # doubles as a zero-byte registry of the live views.
-                if result.ok and result.weights is not None \
-                        and self.weight_cache is not None:
-                    self.weight_cache.put(self._key(record.candidate_id),
-                                          result.weights, shared=True)
-                return
-            if self.transfers and result.ok and result.weights is not None:
-                key = self._key(record.candidate_id)
-                meta = {"arch_seq": list(record.arch_seq),
-                        "score": record.score, "scheme": self.scheme}
-                io0 = time.perf_counter()
-                if self.writer is not None:
-                    # write-behind: only the snapshot + enqueue blocks
-                    # here; the npz write lands in io_hidden at the
-                    # drain barrier
-                    self.writer.save(key, result.weights, meta=meta)
-                    self._saved_keys.add(key)
-                else:
-                    try:
-                        info = self.store.save(key, result.weights,
-                                               meta=meta)
-                    except Exception:
-                        # a full store outage (every shard's breaker
-                        # open, disk gone) costs the checkpoint, not
-                        # the search: children cold-start instead
-                        self.fault_stats.record_fault("ckpt_write")
-                    else:
-                        record.ckpt_bytes = info.nbytes
-                        self._saved_keys.add(key)
-                record.add_io_blocked(time.perf_counter() - io0)
-                if self.weight_cache is not None:
-                    # write-through: children of this candidate hit in
-                    # memory
-                    self.weight_cache.put(key, result.weights)
-        self._finalize_record(pend, apply)
+        record = self._stamp(pend)
+        self._apply(record, result)
+        self._keep_weights(record, result)
+        self._land(record)
+
+    def _apply(self, record: TraceRecord, result) -> None:
+        """Copy an evaluation's outcome onto its record and add its
+        transfer cost to the run's totals."""
+        record.ok = result.ok
+        record.score = result.score
+        record.num_params = result.num_params
+        record.error = result.error
+        if result.transfer_stats is not None:
+            record.transferred = result.transfer_stats.transferred
+            record.transfer_coverage = result.transfer_stats.coverage
+            self._xfer_copied_bytes += int(getattr(
+                result.transfer_stats, "copied_bytes", 0))
+            self._xfer_resliced += int(getattr(
+                result.transfer_stats, "resliced_params", 0))
+
+    def _keep_weights(self, record: TraceRecord, result) -> None:
+        """Checkpoint a successful candidate's weights (the copy path)
+        and cache them write-through, so its children hit in memory."""
+        if not (self.transfers and result.ok and result.weights is not None):
+            return
+        key = self._key(record.candidate_id)
+        if self.backend is not None:
+            # nothing to checkpoint — the trained slices already live in
+            # the entangled store.  A caller-supplied cache doubles as a
+            # zero-byte registry of the live views.
+            if self.weight_cache is not None:
+                self.weight_cache.put(key, result.weights, shared=True)
+            return
+        meta = {"arch_seq": list(record.arch_seq),
+                "score": record.score, "scheme": self.scheme}
+        io0 = time.perf_counter()
+        if self.writer is not None:
+            # write-behind: only the snapshot + enqueue blocks here; the
+            # npz write lands in io_hidden at the drain barrier
+            self.writer.save(key, result.weights, meta=meta)
+            self._saved_keys.add(key)
+        else:
+            try:
+                info = self.store.save(key, result.weights, meta=meta)
+            except Exception:
+                # a full store outage (every shard's breaker open, disk
+                # gone) costs the checkpoint, not the search: children
+                # cold-start instead
+                self.fault_stats.record_fault("ckpt_write")
+            else:
+                record.ckpt_bytes = info.nbytes
+                self._saved_keys.add(key)
+        record.add_io_blocked(self._io_seconds(
+            "save", key, time.perf_counter() - io0))
+        if self.weight_cache is not None:
+            self.weight_cache.put(key, result.weights)
 
     def sweep_deadlines(self) -> None:
         """Abandon every overdue in-flight ticket and contain it as a

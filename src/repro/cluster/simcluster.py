@@ -2,48 +2,42 @@
 
 The paper measures scalability on 8/16/32-GPU allocations of ThetaGPU;
 we reproduce the *dynamics* with a virtual-clock simulator while keeping
-the *scores* real (DESIGN.md: virtual clock, real training).  Each
-candidate is genuinely trained by :func:`estimate_candidate` when it is
-dispatched, but the time it is charged comes from a per-application
-:class:`CostModel`:
+the *scores* real (DESIGN.md "Virtual clock, real scores").
 
-* training seconds grow affinely with the candidate's parameter count,
-* the serial dispatcher charges a fixed latency per submission (this is
-  what caps NT3's scaling in the paper),
-* transfer schemes additionally pay checkpoint read/write time derived
-  from the real checkpoint byte sizes and modelled bandwidths; the
-  baseline scheme performs no checkpoint I/O at all.
+:meth:`SimulatedCluster.run` is an event loop over a
+:class:`~repro.cluster.SearchDriver`.  The driver owns the candidate
+lifecycle exactly as :func:`~repro.cluster.run_search` runs it — ask,
+provider policy, provider load with quarantine, cache, transfer,
+training, checkpoint save, tell — and the simulator keeps only what a
+virtual cluster alone knows:
 
-Heterogeneous clusters (Table II's A100/K80 mix) are modelled with
-``gpu_speeds`` — per-GPU multipliers on training throughput.
-
-The I/O fast path of :func:`repro.cluster.run_search` has matching cost
-parameters so simulated and real traces use the same accounting:
-``run(cache=...)`` models (and actually uses — the simulator really
-loads weights) an in-memory provider cache whose hits cost
-``cache_hit_seconds`` instead of a modelled disk read, and
-``run(async_io=True)`` models write-behind saves — only the snapshot
-memcpy (``bytes / memcpy_bandwidth``) blocks the virtual critical path
-while the modelled disk write lands in ``record.io_hidden``.
-``record.overhead`` stays the total I/O cost in both modes, exactly as
-in the real scheduler.  ``run(transfer_backend="supernet")`` mirrors the
-zero-copy entangled-store path: no checkpoint is loaded or saved at
-all, and each candidate is charged only ``CostModel.slice_seconds`` of
-view re-binding bookkeeping — the simulated counterpart of the real
-backend's claim that per-transfer blocked I/O collapses to ~0.
+* a heap of G GPUs with per-GPU speeds (``gpu_speeds`` models Table
+  II's A100/K80 mix) and a serial dispatcher that charges
+  ``dispatch_latency`` per submission plus ``proxy_seconds`` per fresh
+  zero-cost score (what caps NT3's scaling in the paper);
+* every completion whose virtual end time has passed is told to the
+  strategy before the next ask;
+* the time a candidate is charged comes from a per-application
+  :class:`CostModel`: training grows affinely with the parameter count;
+  each checkpoint load and save costs modelled seconds derived from the
+  real checkpoint byte sizes (``async_io=True`` blocks only on the
+  snapshot memcpy and books the disk write as hidden I/O), a cache hit
+  or supernet bind a small fixed cost; a compiled plan costs
+  ``plan_trace_seconds`` once per fresh structural signature.
 
 Fault model (DESIGN.md "Fault tolerance"): ``run(faults=FaultModel(...))``
 injects the cluster pathologies the paper's 32-GPU campaigns live with,
 in virtual time but with *real* side effects where it matters:
 
 * **crashes** — an attempt consumes a uniform fraction of its training
-  time, then fails; the ``retry`` policy replays it (backoff charged to
-  the virtual clock) or the candidate lands as a failed record;
+  time, then fails; the ``retry`` policy replays it (backoff, jitter
+  included, charged to the virtual clock) or the candidate lands as a
+  failed record;
 * **stragglers** — a slow node multiplies the attempt's duration;
 * **corrupt checkpoints** — the saved npz is *actually truncated on
   disk*, so a later provider load genuinely raises
   :class:`CorruptCheckpointError`, is quarantined, and the child
-  cold-starts — the same code path as the real scheduler.
+  cold-starts.
 
 Fault counters land in ``trace.fault_stats``, so the paper's 1.4–1.5×
 speedup claims can be re-measured under failure rates (the
@@ -58,11 +52,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..checkpoint import CorruptCheckpointError, make_cache
-from ..nas.estimation import FAILURE_SCORE, estimate_candidate
-from ..transfer.policy import get_policy
-from .resilience import FaultStats, RetryPolicy
-from .trace import Trace, TraceRecord, checkpoint_key
+from .resilience import RetryPolicy
+from .scheduler import SearchDriver
+from .trace import Trace
 
 
 @dataclass(frozen=True)
@@ -122,6 +114,25 @@ class CostModel:
         return nbytes / self.memcpy_bandwidth
 
 
+class _SimDriver(SearchDriver):
+    """A :class:`SearchDriver` whose checkpoint I/O costs modelled
+    seconds: the simulator trains for real but books virtual time."""
+
+    def __init__(self, cost: CostModel, write_behind: bool, *args, **kw):
+        super().__init__(*args, **kw)
+        self.cost = cost
+        self.write_behind = write_behind
+
+    def _io_seconds(self, kind, key, measured):
+        nbytes = self.store.nbytes(key)
+        if kind == "load":
+            # paid before corruption is discovered, like a parallel FS
+            return self.cost.load_seconds(nbytes)
+        if self.write_behind:
+            return self.cost.enqueue_seconds(nbytes)
+        return self.cost.save_seconds(nbytes)
+
+
 class SimulatedCluster:
     """G virtual GPUs fed by a serial dispatcher; real model training."""
 
@@ -148,44 +159,24 @@ class SimulatedCluster:
             faults: Optional[FaultModel] = None,
             retry: Optional[RetryPolicy] = None,
             engine: str = "eager") -> Trace:
-        from .scheduler import _resolve_supernet_backend
-        if engine not in ("eager", "plan"):
-            raise ValueError(f"unknown engine {engine!r}, expected "
-                             f"'eager' or 'plan'")
-        transfers = scheme != "baseline"
-        backend = _resolve_supernet_backend(transfer_backend, self.problem,
-                                            scheme, seed)
-        if backend is not None and not transfers:
-            raise ValueError("transfer_backend='supernet' needs a transfer "
-                             "scheme ('lp' or 'lcs')")
-        if transfers and backend is None and self.store is None:
-            raise ValueError(f"scheme {scheme!r} needs a checkpoint store")
-        # same gating knobs as run_search; the proxy tier's virtual cost
-        # (proxy_seconds per *fresh* score) is charged to the serial
-        # dispatcher below, mirroring where the real scheduler pays it
-        from ..analysis.zerocost import make_gate
-        made = make_gate(self.problem, static_gate=static_gate,
-                         zero_cost=zero_cost)
-        if made is not None and strategy.gate is None:
-            strategy.gate = made
+        cost = self.cost
+        driver = _SimDriver(
+            cost, async_io, self.problem, strategy, num_candidates,
+            scheme=scheme, store=self.store,
+            provider_policy=provider_policy, seed=seed,
+            static_gate=static_gate, zero_cost=zero_cost,
+            name=f"{self.problem.name}-{scheme}-g{self.num_gpus}",
+            transfer_backend=transfer_backend, cache=cache,
+            retry=retry or RetryPolicy(max_attempts=3, base_delay=1.0,
+                                       jitter=0.0),
+            engine=engine,
+        )
         gate = getattr(strategy, "gate", None)
-        policy = get_policy(provider_policy, space=self.problem.space)
-        rng = np.random.default_rng(seed)
-        # dedicated streams: the fault schedule never perturbs provider
+        # dedicated stream: the fault schedule never perturbs provider
         # selection, so faults=None and faults=FaultModel() (all-zero
         # rates) produce bit-identical traces
         fault_rng = np.random.default_rng((seed, 0xFA17))
-        retry = retry or RetryPolicy(max_attempts=3, base_delay=1.0,
-                                     jitter=0.0)
-        fault_stats = FaultStats()
-        uses_store = transfers and backend is None
-        weight_cache = make_cache(cache) if uses_store else None
-        arch_by_id: dict[int, tuple] = {}
         plan_sigs: set = set()     # structural signatures already traced
-        xfer_copied_bytes = 0
-        xfer_resliced = 0
-        trace = Trace(name=f"{self.problem.name}-{scheme}-g{self.num_gpus}",
-                      scheme=scheme)
         # (free_time, gpu_index) — earliest-free GPU gets the next task
         gpus = [(0.0, g) for g in range(self.num_gpus)]
         heapq.heapify(gpus)
@@ -194,172 +185,58 @@ class SimulatedCluster:
 
         def drain(until: float) -> None:
             while completions and completions[0][0] <= until:
-                _, _, record = heapq.heappop(completions)
-                strategy.tell(record.candidate_id, record.arch_seq,
-                              record.score)
-                if record.ok:
-                    arch_by_id[record.candidate_id] = record.arch_seq
-                trace.append(record)
+                driver._land(heapq.heappop(completions)[2])
 
         for candidate_id in range(num_candidates):
             free_time, gpu = heapq.heappop(gpus)
             dispatch_at = max(dispatcher_free, free_time)
             drain(dispatch_at)
             proxied_before = gate.stats.proxy_scored if gate else 0
-            proposal = strategy.ask()
-            dispatcher_free = dispatch_at + self.cost.dispatch_latency
+            pend = driver._prepare()
+            record = pend.record
+            dispatcher_free = dispatch_at + cost.dispatch_latency
             if gate is not None:
                 # every fresh proxy score this ask triggered (rejected
                 # candidates included) occupies the serial dispatcher
                 fresh_scores = gate.stats.proxy_scored - proxied_before
-                dispatcher_free += fresh_scores * self.cost.proxy_seconds
-            record = TraceRecord(
-                candidate_id=candidate_id,
-                arch_seq=tuple(proposal.arch_seq), score=float("nan"),
-                scheme=scheme, parent_id=proposal.parent_id,
-                start_time=dispatcher_free,
-            )
-            provider_weights = None
-            provider_seq = None
-            if transfers and backend is not None:
-                # zero-copy: no load, no payload — only the slice
-                # bookkeeping of the bind is charged to the virtual clock
-                provider = policy.select(proposal, trace.ok_records(), rng)
-                if provider is not None and provider in arch_by_id:
-                    record.provider_id = provider
-                    provider_seq = arch_by_id[provider]
-                record.add_io_blocked(self.cost.slice_seconds)
-            elif transfers:
-                provider = policy.select(proposal, trace.ok_records(), rng)
-                if provider is not None:
-                    key = checkpoint_key(provider)
-                    if weight_cache is not None:
-                        provider_weights = weight_cache.get(key)
-                    if provider_weights is not None:
-                        record.cache_hit = True
-                        record.provider_id = provider
-                        record.add_io_blocked(self.cost.cache_hit_seconds)
-                    elif self.store.exists(key):
-                        # the read cost is paid before corruption is
-                        # discovered, exactly like a real parallel FS
-                        record.add_io_blocked(self.cost.load_seconds(
-                            self.store.nbytes(key)))
-                        try:
-                            provider_weights = self.store.load(key)
-                        except CorruptCheckpointError:
-                            fault_stats.record_fault("corrupt_checkpoint")
-                            fault_stats.quarantined += 1
-                            self.store.quarantine(key)
-                        else:
-                            record.provider_id = provider
-                            if weight_cache is not None:
-                                weight_cache.put(key, provider_weights)
+                dispatcher_free += fresh_scores * cost.proxy_seconds
+            record.start_time = dispatcher_free
+            if record.cache_hit:
+                record.add_io_blocked(cost.cache_hit_seconds)
+            elif driver.backend is not None:
+                # zero-copy: only the slice bookkeeping of the bind
+                record.add_io_blocked(cost.slice_seconds)
 
             # real training, virtual time
-            if backend is not None:
-                result = estimate_candidate(
-                    self.problem, record.arch_seq,
-                    seed=seed + candidate_id, supernet=backend,
-                    provider_seq=provider_seq, keep_weights=False,
-                    engine=engine,
-                )
-            else:
-                result = estimate_candidate(
-                    self.problem, record.arch_seq, seed=seed + candidate_id,
-                    provider_weights=provider_weights,
-                    matcher=scheme if transfers else "lcs",
-                    keep_weights=uses_store,
-                    engine=engine,
-                )
+            result = pend.task()
             plan_overhead = 0.0
             if engine == "plan" and result.ok:
-                # mirror the real PlanCache: tracing is paid once per
-                # fresh structural signature, re-users ride for free
-                from ..tensor.engine import network_signature
-                try:
-                    sig = network_signature(self.problem.build_model(
-                        record.arch_seq, rng=seed + candidate_id))
-                except Exception:
-                    sig = None
+                sig = self._plan_signature(record.arch_seq,
+                                           seed + candidate_id)
                 if sig is not None and sig not in plan_sigs:
                     plan_sigs.add(sig)
-                    plan_overhead = self.cost.plan_trace_seconds
-            record.ok = result.ok
-            record.score = result.score
-            record.num_params = result.num_params
-            record.error = result.error
-            if result.transfer_stats is not None:
-                record.transferred = result.transfer_stats.transferred
-                record.transfer_coverage = result.transfer_stats.coverage
-                xfer_copied_bytes += int(getattr(
-                    result.transfer_stats, "copied_bytes", 0))
-                xfer_resliced += int(getattr(
-                    result.transfer_stats, "resliced_params", 0))
-            duration = self.cost.train_seconds(result.num_params,
-                                               self.gpu_speeds[gpu])
-
-            # -- fault injection, in virtual time -----------------------
-            extra_seconds = 0.0
-            crashed = False
-            if faults is not None:
-                if faults.straggler_prob and \
-                        float(fault_rng.uniform()) < faults.straggler_prob:
-                    fault_stats.record_fault("straggler")
-                    extra_seconds += duration * (faults.straggler_factor
-                                                 - 1.0)
-                while faults.crash_prob and \
-                        float(fault_rng.uniform()) < faults.crash_prob:
-                    fault_stats.record_fault("injected")
-                    # the attempt dies a uniform fraction into training
-                    extra_seconds += duration * float(fault_rng.uniform())
-                    if not retry.should_retry(record.attempts):
-                        crashed = True
-                        fault_stats.failed_records += 1
-                        break
-                    backoff = retry.delay(record.attempts, None)
-                    extra_seconds += backoff
-                    fault_stats.backoff_seconds += backoff
-                    fault_stats.retries += 1
-                    record.attempts += 1
+                    plan_overhead = cost.plan_trace_seconds
+            duration = cost.train_seconds(result.num_params,
+                                          self.gpu_speeds[gpu])
+            extra_seconds, crashed = self._inject(
+                faults, fault_rng, driver, record, duration)
+            driver._apply(record, result)
             if crashed:
-                record.ok = False
-                record.score = FAILURE_SCORE
-                record.error = "injected: crash (retries exhausted)"
-                if backend is not None and result.ok:
+                driver._mark_failed(record,
+                                    "injected: crash (retries exhausted)")
+                if driver.backend is not None and result.ok:
                     # a crashed candidate must not leave its training in
-                    # the shared store (a failed candidate never produces
-                    # a checkpoint either): scrub its slices back to
-                    # fresh values via a rebuilt model of the same shape
+                    # the shared store: scrub its slices back to fresh
+                    # values via a rebuilt model of the same shape
                     try:
-                        model = self.problem.build_model(
-                            record.arch_seq, rng=seed + candidate_id)
-                        backend.scrub(model)
+                        driver.backend.scrub(self.problem.build_model(
+                            record.arch_seq, rng=seed + candidate_id))
                     except Exception:
                         pass   # unbuildable arch never touched the store
-
-            if transfers and record.ok and result.weights is not None:
-                key = checkpoint_key(candidate_id)
-                info = self.store.save(
-                    key, result.weights,
-                    meta={"arch_seq": list(record.arch_seq),
-                          "score": record.score, "scheme": scheme},
-                )
-                record.ckpt_bytes = info.nbytes
-                if async_io:
-                    record.add_io_blocked(self.cost.enqueue_seconds(info.nbytes))
-                    record.add_io_hidden(self.cost.save_seconds(info.nbytes))
-                else:
-                    record.add_io_blocked(self.cost.save_seconds(info.nbytes))
-                if faults is not None and faults.corrupt_prob and \
-                        float(fault_rng.uniform()) < faults.corrupt_prob:
-                    # genuinely truncate the npz: a later provider load
-                    # hits CorruptCheckpointError and the quarantine path
-                    fault_stats.record_fault("corrupt_write")
-                    path = self.store.path(key)
-                    blob = path.read_bytes()
-                    path.write_bytes(blob[:max(1, len(blob) // 3)])
-                elif weight_cache is not None:
-                    weight_cache.put(key, result.weights)
+            else:
+                driver._keep_weights(record, result)
+                if record.ckpt_bytes:
+                    self._after_save(driver, record, faults, fault_rng)
             # hidden I/O is, by definition, off the critical path: only
             # the blocked seconds extend the candidate's GPU occupancy
             record.end_time = (record.start_time + duration
@@ -370,38 +247,78 @@ class SimulatedCluster:
             heapq.heappush(gpus, (record.end_time, gpu))
 
         drain(float("inf"))
-        if transfers:
-            transfer_stats: dict = {
-                "backend": "supernet" if backend is not None
-                else "checkpoint",
-                "copied_bytes": int(xfer_copied_bytes),
-                "resliced_params": int(xfer_resliced),
-            }
-            if backend is not None:
-                transfer_stats["store"] = backend.stats()
-            trace.transfer_stats = transfer_stats
-        if weight_cache is not None or async_io:
-            trace.io_stats = {}
-            if weight_cache is not None:
-                trace.io_stats["cache"] = weight_cache.stats()
-            if async_io:
-                trace.io_stats["async_io"] = True
+        trace = driver.finalize()
+        if async_io:
+            trace.io_stats = {**(trace.io_stats or {}), "async_io": True}
         if faults is not None:
-            trace.fault_stats = fault_stats.as_dict()
+            trace.fault_stats = driver.fault_stats.as_dict()
         if engine == "plan":
-            from ..tensor.engine import get_plan_cache
+            stats = dict(trace.engine_stats)
             trace.engine_stats = {
-                "engine": engine,
+                "engine": stats.pop("engine"),
                 "plans_traced_virtual": len(plan_sigs),
                 "plan_trace_virtual_seconds":
-                    len(plan_sigs) * self.cost.plan_trace_seconds,
-                **get_plan_cache().stats(),
+                    len(plan_sigs) * cost.plan_trace_seconds,
+                **stats,
             }
         if gate is not None:
-            stats = gate.stats.as_dict()
             # virtual proxy cost actually charged to the dispatcher
             # (wall-clock proxy_seconds in the stats is the real compute)
-            stats["proxy_virtual_seconds"] = (gate.stats.proxy_scored
-                                              * self.cost.proxy_seconds)
-            trace.static_stats = stats
+            trace.static_stats["proxy_virtual_seconds"] = \
+                gate.stats.proxy_scored * cost.proxy_seconds
         return trace
+
+    def _plan_signature(self, arch_seq, seed):
+        """Structural signature of a candidate's compiled plan: tracing
+        is paid once per fresh signature, like the real PlanCache."""
+        from ..tensor.engine import network_signature
+        try:
+            return network_signature(
+                self.problem.build_model(arch_seq, rng=seed))
+        except Exception:
+            return None
+
+    @staticmethod
+    def _inject(faults, fault_rng, driver, record, duration):
+        """Straggler and crash draws for one candidate: the extra
+        virtual seconds they cost and whether retries ran out."""
+        extra_seconds = 0.0
+        if faults is None:
+            return extra_seconds, False
+        stats, retry = driver.fault_stats, driver.retry
+        if faults.straggler_prob and \
+                float(fault_rng.uniform()) < faults.straggler_prob:
+            stats.record_fault("straggler")
+            extra_seconds += duration * (faults.straggler_factor - 1.0)
+        while faults.crash_prob and \
+                float(fault_rng.uniform()) < faults.crash_prob:
+            stats.record_fault("injected")
+            # the attempt dies a uniform fraction into training
+            extra_seconds += duration * float(fault_rng.uniform())
+            if not retry.should_retry(record.attempts):
+                stats.failed_records += 1
+                return extra_seconds, True
+            backoff = retry.delay(record.attempts, driver._retry_rng)
+            extra_seconds += backoff
+            stats.backoff_seconds += backoff
+            stats.retries += 1
+            record.attempts += 1
+        return extra_seconds, False
+
+    def _after_save(self, driver, record, faults, fault_rng) -> None:
+        """Book a write-behind save's hidden disk write, then maybe
+        corrupt the checkpoint just written."""
+        if driver.write_behind:
+            record.add_io_hidden(self.cost.save_seconds(record.ckpt_bytes))
+        if faults is not None and faults.corrupt_prob and \
+                float(fault_rng.uniform()) < faults.corrupt_prob:
+            # genuinely truncate the npz: a later provider load hits
+            # CorruptCheckpointError and the quarantine path
+            driver.fault_stats.record_fault("corrupt_write")
+            key = driver._key(record.candidate_id)
+            path = self.store.path(key)
+            blob = path.read_bytes()
+            path.write_bytes(blob[:max(1, len(blob) // 3)])
+            if driver.weight_cache is not None:
+                # a corrupt write is never served from memory either
+                driver.weight_cache.discard(key)
