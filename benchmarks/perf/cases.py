@@ -48,6 +48,15 @@ _PATCHED_OPS = (
     "maxpool2d_forward", "maxpool2d_backward",
     "maxpool1d_forward", "maxpool1d_backward",
 )
+#: patched backward kernels that layers call with a ``need_gx`` flag; the
+#: frozen kernels predate it and always compute the input gradient
+_NEED_GX_OPS = ("conv2d_backward", "conv1d_backward")
+
+
+def _ignore_need_gx(fn):
+    def backward(gout, cache, need_gx=True):
+        return fn(gout, cache)
+    return backward
 
 
 def _legacy_step(self, network):
@@ -98,7 +107,8 @@ def legacy_stack():
     saved_step = optimizers.Optimizer.step
     try:
         for n in _PATCHED_OPS:
-            setattr(ops, n, getattr(ref, n))
+            fn = getattr(ref, n)
+            setattr(ops, n, _ignore_need_gx(fn) if n in _NEED_GX_OPS else fn)
         optimizers.Optimizer.step = _legacy_step
         optimizers.SGD._legacy_update = _legacy_sgd_update
         optimizers.Adam._legacy_update = _legacy_adam_update

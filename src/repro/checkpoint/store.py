@@ -135,12 +135,17 @@ class CheckpointStore:
         but cannot be decoded (truncated/garbage npz, missing member,
         malformed sidecar) — or decodes fine but its bytes no longer
         match the CRC32 recorded at save time (bit-rot that still
-        parses as a valid zip) — see :meth:`quarantine` for recovery."""
+        parses as a valid zip) — see :meth:`quarantine` for recovery.
+
+        The archive is read once: the bytes that were CRC-checked are the
+        bytes decoded, so a concurrent ``os.replace`` of the file cannot
+        slip unverified content in between."""
         path = self.path(key)
         try:
             sidecar = self._sidecar(key)
+            blob = path.read_bytes()
             if sidecar is not None and _CRC_KEY in sidecar:
-                crc = zlib.crc32(path.read_bytes()) & 0xFFFFFFFF
+                crc = zlib.crc32(blob) & 0xFFFFFFFF
                 if crc != sidecar[_CRC_KEY]:
                     raise CorruptCheckpointError(key, path, ValueError(
                         f"CRC32 mismatch: sidecar records "
@@ -148,14 +153,15 @@ class CheckpointStore:
                         f"{crc:#010x}"))
             if sidecar is not None and _ORDER_KEY in sidecar:
                 order = [str(n) for n in sidecar[_ORDER_KEY]]
-                with np.load(path) as data:    # allow_pickle stays False
+                # allow_pickle stays False
+                with np.load(io.BytesIO(blob)) as data:
                     return {name: data[name] for name in order}
             # legacy archives: order index embedded as an object array
-            with np.load(path) as data:
+            with np.load(io.BytesIO(blob)) as data:
                 if _ORDER_KEY not in data.files:
                     # npz member order is zip-entry order == insertion order
                     return {name: data[name] for name in data.files}
-            with np.load(path, allow_pickle=True) as data:
+            with np.load(io.BytesIO(blob), allow_pickle=True) as data:
                 order = [str(n) for n in data[_ORDER_KEY]]
                 return {name: data[name] for name in order}
         except FileNotFoundError:

@@ -19,7 +19,13 @@ Performance contract (see DESIGN.md "Kernel layout & performance"):
 - every op preserves the input floating dtype (float32 in -> float32
   out); nothing silently promotes to float64;
 - max-pool caches flat argmax indices (1 byte/output element), not a
-  boolean window mask (p^2 bytes/output element).
+  boolean window mask (p^2 bytes/output element);
+- dense and conv backward kernels take ``need_gx``: when the caller's
+  liveness pass (``repro.tensor.network.Liveness``) says the input
+  gradient is dead they return ``None`` for it and skip its GEMM,
+  buffer and (for convs) the k^2 scatter;
+- "same" padding is one ``np.zeros`` plus a slice assignment, not
+  ``np.pad`` (whose per-call Python overhead showed up in profiles).
 
 The pre-optimization implementations are frozen in ``reference_ops`` and
 the two are compared op-by-op in ``tests/test_kernel_equivalence.py`` and
@@ -41,9 +47,9 @@ def dense_forward(x, kernel, bias):
     return out, (x, kernel)
 
 
-def dense_backward(gout, cache):
+def dense_backward(gout, cache, need_gx=True):
     x, kernel = cache
-    gx = gout @ kernel.T
+    gx = gout @ kernel.T if need_gx else None
     gk = x.T @ gout
     gb = gout.sum(axis=0)
     return gx, gk, gb
@@ -57,7 +63,10 @@ def dense_backward(gout, cache):
 def _pad2d(x, ph, pw):
     if ph == 0 and pw == 0:
         return x
-    return np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    n, h, w, c = x.shape
+    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+    xp[:, ph:ph + h, pw:pw + w, :] = x
+    return xp
 
 
 def patch_view6d(x, kh, kw):
@@ -101,7 +110,7 @@ def conv2d_forward(x, kernel, bias, padding="same"):
     return out, (xp, kernel, (ph, pw), x.shape)
 
 
-def conv2d_backward(gout, cache):
+def conv2d_backward(gout, cache, need_gx=True):
     xp, kernel, (ph, pw), x_shape = cache
     kh, kw, cin, cout = kernel.shape
     n, ho, wo, _ = gout.shape
@@ -111,6 +120,8 @@ def conv2d_backward(gout, cache):
     cols = im2col2d(xp, kh, kw).reshape(-1, kh * kw * cin)
     gk = (cols.T @ g2).reshape(kh, kw, cin, cout)
     gb = g2.sum(axis=0)
+    if not need_gx:
+        return None, gk, gb
     gcols = (g2 @ kernel.reshape(kh * kw * cin, cout).T).reshape(
         n, ho, wo, kh, kw, cin)
     gxp = np.zeros(xp.shape, dtype=gout.dtype)
@@ -128,7 +139,10 @@ def conv2d_backward(gout, cache):
 def _pad1d(x, p):
     if p == 0:
         return x
-    return np.pad(x, ((0, 0), (p, p), (0, 0)))
+    n, length, c = x.shape
+    xp = np.zeros((n, length + 2 * p, c), dtype=x.dtype)
+    xp[:, p:p + length, :] = x
+    return xp
 
 
 def patch_view4d(x, k):
@@ -163,7 +177,7 @@ def conv1d_forward(x, kernel, bias, padding="same"):
     return out, (cols, kernel, p, x.shape, xp.shape)
 
 
-def conv1d_backward(gout, cache):
+def conv1d_backward(gout, cache, need_gx=True):
     cols, kernel, p, x_shape, xp_shape = cache
     k, cin, cout = kernel.shape
     n, lo, _ = gout.shape
@@ -171,6 +185,8 @@ def conv1d_backward(gout, cache):
     c2 = cols.reshape(-1, k * cin)
     gk = (c2.T @ g2).reshape(k, cin, cout)
     gb = g2.sum(axis=0)
+    if not need_gx:
+        return None, gk, gb
     gcols = (g2 @ kernel.reshape(k * cin, cout).T).reshape(n, lo, k, cin)
     gxp = np.zeros(xp_shape, dtype=gout.dtype)
     for i in range(k):

@@ -14,10 +14,9 @@ ordered op schedule over a preallocated buffer arena:
   conv backward reuses the forward's im2col matrix instead of
   rebuilding it (and writes its column gradient back into the same
   workspace), and loss + softmax backward share their temporaries;
-- the schedule drops dead gradient work: a layer whose input subtree
-  holds no trainable parameters never computes its input gradient (the
-  first conv of a chain skips the whole column-gradient GEMM and
-  scatter).
+- which gradients are live comes from the network's own liveness pass
+  (``Network.liveness``, shared with eager ``Network.backward``); the
+  plan adds only its fan-in counts for gradient accumulation.
 
 Bit-identicality contract: a plan step replicates the eager step's
 arithmetic *exactly* — same ufunc sequences via ``out=``, same operand
@@ -388,7 +387,7 @@ class _ConvOp:
     values, one big copy cheaper) and then overwrites the same workspace
     with the column gradients before scattering them into the padded
     input-gradient buffer.  The padded border is written once at trace
-    time and never touched again, replacing eager's per-step ``np.pad``.
+    time and never touched again.
     """
 
     def __init__(self, layer, x, n, arena):
@@ -872,13 +871,8 @@ class StepPlan:
             for shape, dt in zip(network.input_shapes, x_dtypes)]
         self._multi = len(self._x_slots) > 1
         self._y = arena.zeros((n,) + tuple(y_shape), dtype=y_dtype)
-        parents = []        # per layer: list of parent indices (-1-i = input i)
-        index = {f"input:{i}": -1 - i
-                 for i in range(len(network.input_shapes))}
-        for li, layer in enumerate(layers):
-            parents.append([index[p] for p in network._inputs_of[layer.name]])
-            index[layer.name] = li
-        self._parents = parents
+        live = network.liveness
+        parents = live.parents      # per layer; -1-i = network input i
 
         slots: list = [None] * nl
 
@@ -933,25 +927,14 @@ class StepPlan:
         else:
             self._loss = _RegLossKernel(loss, logits, self._y, arena)
 
-        # -- backward analysis: trainables, dead-gradient elimination ---
-        def _has_trainables(layer):
-            tr = getattr(layer, "TRAINABLE", None)
-            return any(tr is None or p in tr for p in layer.params)
-
-        has_tr = [_has_trainables(layer) for layer in layers]
-        up = [False] * nl
-        for li in range(nl):
-            up[li] = any(pi >= 0 and (has_tr[pi] or up[pi])
-                         for pi in parents[li])
-        runs_bwd = [h or u for h, u in zip(has_tr, up)]
-
+        # -- backward: the network's liveness + plan-only fan-in counts -
+        runs_bwd, need_gx = live.runs_bwd, live.need_gx
         counts = [0] * nl
         for li in range(nl):
-            if not runs_bwd[li]:
-                continue
-            for pi in parents[li]:
-                if pi >= 0 and runs_bwd[pi]:
-                    counts[pi] += 1
+            if runs_bwd[li]:
+                for pi, live_parent in zip(parents[li], need_gx[li]):
+                    if live_parent:
+                        counts[pi] += 1
 
         gdt = self._loss.grad.dtype
         gslot: list = [None] * nl
@@ -969,8 +952,6 @@ class StepPlan:
         bwd: list = []
 
         def provide(pi, arr):
-            if pi < 0:
-                return                      # input grads are never used
             if counts[pi] > 1:
                 acc = _AccumOp(gslot[pi], arr, not seen_acc[pi])
                 seen_acc[pi] = True
@@ -989,14 +970,13 @@ class StepPlan:
             pis = parents[li]
             if isinstance(layer, L.Concatenate):
                 views = op.split_views(g)
-                for pi, view in zip(pis, views):
-                    if pi >= 0 and runs_bwd[pi]:
+                for pi, view, live_parent in zip(pis, views, need_gx[li]):
+                    if live_parent:
                         provide(pi, view)
                 continue
-            pi = pis[0]
-            need_gx = pi >= 0 and runs_bwd[pi]
+            pi, need = pis[0], need_gx[li][0]
             if op is None:                  # alias layer
-                if not need_gx:
+                if not need:
                     continue
                 if isinstance(layer, L.Flatten):
                     pshape = _slot(pi).shape
@@ -1010,9 +990,9 @@ class StepPlan:
                 else:                       # Identity / no-op pool / p=0 drop
                     provide(pi, g)
                 continue
-            gx = op.trace_backward(g, need_gx, arena)
+            gx = op.trace_backward(g, need, arena)
             bwd.append(op.execute_backward)
-            if need_gx and gx is not None:
+            if need and gx is not None:
                 provide(pi, gx)
         self._bwd_ops = bwd
         self.arena_bytes = arena.nbytes

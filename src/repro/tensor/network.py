@@ -10,15 +10,42 @@ Weights are exposed as an *ordered* ``{"layer.param": array}`` mapping
 (topological layer order, declaration order within a layer) — the exact
 substrate the shape-sequence/transfer machinery and the checkpoint store
 operate on.
+
+Backward-pass liveness (:class:`Liveness`) is computed once per built
+network and serves both engines: eager :meth:`Network.backward` and the
+compiled :class:`~repro.tensor.engine.StepPlan`.  A layer runs backward
+only when it or something upstream holds trainable parameters, and
+computes an input gradient only for a parent that runs backward — so
+the first conv of a chain skips its column-gradient GEMM and scatter.
+Input gradients w.r.t. the network inputs are never computed.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .layers import Concatenate, Layer
+
+
+@dataclass(frozen=True)
+class Liveness:
+    """Which backward work a built network's parameter gradients need.
+
+    Per layer, in topological order:
+
+    - ``parents``: parent indices (``-1 - i`` is network input ``i``);
+    - ``runs_bwd``: the layer or anything upstream holds trainable
+      parameters, so its backward feeds some parameter gradient;
+    - ``need_gx``: per parent, whether that parent's input gradient is
+      consumed (the parent is a layer with ``runs_bwd``).
+    """
+
+    parents: tuple[tuple[int, ...], ...]
+    runs_bwd: tuple[bool, ...]
+    need_gx: tuple[tuple[bool, ...], ...]
 
 
 class Network:
@@ -35,6 +62,7 @@ class Network:
         self._by_name: dict[str, Layer] = {}
         self._output: Optional[str] = None
         self.built = False
+        self.liveness: Optional[Liveness] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -91,8 +119,29 @@ class Network:
                     )
                 out = layer.build(in_shapes[0], rng)
             shapes[layer.name] = out
+        self.liveness = self._backward_liveness()
         self.built = True
         return self
+
+    def _backward_liveness(self) -> Liveness:
+        """One sweep in topological order: a layer runs backward when it
+        holds trained tensors or any layer parent runs backward."""
+        trained = {layer.name for _, layer, _ in self.trainable()}
+        index = {f"input:{i}": -1 - i for i in range(len(self.input_shapes))}
+        parents: list[tuple[int, ...]] = []
+        runs_bwd: list[bool] = []
+        for li, layer in enumerate(self._layers):
+            pis = tuple(index[p] for p in self._inputs_of[layer.name])
+            index[layer.name] = li
+            parents.append(pis)
+            runs_bwd.append(layer.name in trained
+                            or any(pi >= 0 and runs_bwd[pi] for pi in pis))
+        return Liveness(
+            parents=tuple(parents),
+            runs_bwd=tuple(runs_bwd),
+            need_gx=tuple(tuple(pi >= 0 and runs_bwd[pi] for pi in pis)
+                          for pis in parents),
+        )
 
     # ------------------------------------------------------------------
     # execution
@@ -118,25 +167,37 @@ class Network:
 
     predict = forward
 
-    def backward(self, gout):
-        """Backprop from the output gradient; fills each layer's ``grads``
-        and returns the gradients w.r.t. each network input."""
+    def backward(self, gout) -> None:
+        """Backprop from the output gradient and fill each trainable
+        layer's ``grads``.
+
+        Only live work runs (see :class:`Liveness`): layers with no
+        trainables at or above them are skipped, and a layer whose
+        parent is dead is called with ``need_gx=False``.  Nothing is
+        returned — no caller reads gradients w.r.t. the network inputs,
+        so they are never computed."""
+        live = self.liveness
         pending: dict[str, np.ndarray] = {self._output: gout}
-        gin: dict[str, np.ndarray] = {}
-        for layer in reversed(self._layers):
+        for li in range(len(self._layers) - 1, -1, -1):
+            if not live.runs_bwd[li]:
+                continue
+            layer = self._layers[li]
             g = pending.pop(layer.name, None)
             if g is None:
                 continue
-            gx = layer.backward(g)
-            parents = self._inputs_of[layer.name]
-            gxs = gx if isinstance(layer, Concatenate) else [gx]
-            for parent, gp in zip(parents, gxs):
-                target = gin if parent.startswith("input:") else pending
-                if parent in target:
-                    target[parent] = target[parent] + gp
+            need = live.need_gx[li]
+            if isinstance(layer, Concatenate):
+                gxs = layer.backward(g)
+            else:
+                gxs = [layer.backward(g, need_gx=need[0])]
+            for parent, live_parent, gp in zip(self._inputs_of[layer.name],
+                                               need, gxs):
+                if not live_parent:
+                    continue
+                if parent in pending:
+                    pending[parent] = pending[parent] + gp
                 else:
-                    target[parent] = gp
-        return [gin.get(f"input:{i}") for i in range(len(self.input_shapes))]
+                    pending[parent] = gp
 
     # ------------------------------------------------------------------
     # weights / introspection

@@ -1,6 +1,7 @@
 """CheckpointStore, AsyncCheckpointWriter."""
 
 import json
+import os
 import queue
 import threading
 import time
@@ -261,6 +262,42 @@ def test_crc_roundtrips_for_compressed_stores(tmp_path):
     store.save("m_000001", w)
     loaded = store.load("m_000001")
     assert all(np.array_equal(loaded[k], w[k]) for k in w)
+
+
+def test_load_decodes_the_bytes_it_verified(tmp_path, monkeypatch):
+    """A concurrent ``os.replace`` right after the CRC check must not
+    make ``load`` decode the new, never-verified archive."""
+    import types
+    import zlib
+
+    import repro.checkpoint.store as store_mod
+
+    store = CheckpointStore(tmp_path / "a")
+    w_old, w_new = weights(0), weights(1)
+    store.save("m_000001", w_old)
+    other = CheckpointStore(tmp_path / "b")
+    other.save("m_000001", w_new)
+    path = store.path("m_000001")
+    swapped = []
+
+    def crc32_then_swap(data, *args):
+        crc = zlib.crc32(data, *args)
+        if not swapped:
+            staged = path.with_name("swap.tmp")
+            staged.write_bytes(other.path("m_000001").read_bytes())
+            os.replace(staged, path)
+            swapped.append(True)
+        return crc
+
+    monkeypatch.setattr(store_mod, "zlib",
+                        types.SimpleNamespace(crc32=crc32_then_swap))
+    loaded = store.load("m_000001")
+    assert swapped
+    assert all(np.array_equal(loaded[k], w_old[k]) for k in w_old)
+    # the file on disk now holds the other checkpoint's tensors
+    monkeypatch.undo()
+    with np.load(path) as raw:
+        assert np.array_equal(raw["d.kernel"], w_new["d.kernel"])
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ so every equivalence assertion here uses exact comparison
 
 import sys
 import threading
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.apps import get_app, make_image_dataset
 from repro.cluster import ChaosEvaluator, SerialEvaluator, run_search
@@ -30,13 +33,15 @@ from repro.nas import (
     SearchSpace,
 )
 from repro.nas.estimation import estimate_candidate
-from repro.tensor import fit, get_loss
+from repro.tensor import fit, get_loss, get_optimizer
 from repro.tensor.engine import (
     PlanCache,
     PlanUnsupportedError,
     StepPlan,
     network_signature,
 )
+from repro.tensor.layers import BuildError
+from repro.tensor.network import Liveness
 from repro.tensor.training import evaluate
 
 REPO = Path(__file__).resolve().parents[1]
@@ -508,3 +513,142 @@ def test_trace_engine_stats_roundtrip(space, problem, tmp_path):
     loaded = Trace.load_jsonl(path)
     assert loaded.engine_stats == trace.engine_stats
     assert loaded.engine_stats["engine"] == "plan"
+
+
+# ---------------------------------------------------------------------------
+# generated architectures: shared liveness, eager vs plan differential
+# ---------------------------------------------------------------------------
+
+GENERATED = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=16,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@lru_cache(maxsize=None)
+def _problem(app):
+    return get_app(app).problem(seed=0)
+
+
+def _arch_seqs(app):
+    counts = _problem(app).space.choice_counts()
+    return st.tuples(*(st.integers(0, c - 1) for c in counts))
+
+
+def _build_or_reject(prob, seq):
+    try:
+        return prob.build_model(seq, rng=0)
+    except BuildError:
+        assume(False)
+
+
+def _upstream_trainable_oracle(network):
+    """Brute force: per layer, does it or any ancestor hold a trained
+    tensor?  Walks every ancestor path; only the trained-tensor rule
+    (``Network.trainable``) is shared with the liveness sweep."""
+    trained = {layer.name for _, layer, _ in network.trainable()}
+
+    def reaches(name):
+        if name.startswith("input:"):
+            return False
+        return name in trained or any(
+            reaches(p) for p in network._inputs_of[name])
+
+    return [reaches(layer.name) for layer in network.layers]
+
+
+@pytest.mark.parametrize("app", sorted(APP_SEQS))
+def test_liveness_matches_upstream_trainable_oracle(app):
+    prob = _problem(app)
+
+    @GENERATED
+    @given(seq=_arch_seqs(app))
+    def check(seq):
+        network = _build_or_reject(prob, seq)
+        live = network.liveness
+        oracle = _upstream_trainable_oracle(network)
+        assert list(live.runs_bwd) == oracle
+        index = {layer.name: i for i, layer in enumerate(network.layers)}
+        for li, layer in enumerate(network.layers):
+            want = tuple(not p.startswith("input:") and oracle[index[p]]
+                         for p in network._inputs_of[layer.name])
+            assert live.need_gx[li] == want, layer.name
+
+    check()
+
+
+@pytest.mark.parametrize("app", sorted(APP_SEQS))
+def test_generated_eager_step_matches_plan_step_bitwise(app):
+    prob = _problem(app)
+    ds = prob.dataset
+    n = 16
+    idx = np.random.default_rng(0).permutation(ds.y_train.shape[0])[:n]
+    multi = isinstance(ds.x_train, (list, tuple))
+    xs = list(ds.x_train) if multi else [ds.x_train]
+    xb = [a[idx] for a in xs] if multi else ds.x_train[idx]
+
+    @GENERATED
+    @given(seq=_arch_seqs(app))
+    def check(seq):
+        eager = _build_or_reject(prob, seq)
+        planned = prob.build_model(seq, rng=0)
+        logits = eager.forward(xb, training=True)
+        _, grad = get_loss(prob.loss)(logits, ds.y_train[idx])
+        eager.backward(grad)
+        plan = StepPlan(planned, n, [a.dtype for a in xs], ds.y_train.dtype,
+                        ds.y_train.shape[1:], prob.loss)
+        plan.run_step(ds.x_train, ds.y_train, idx)
+        for name, layer, pname in eager.trainable():
+            other = planned._by_name[layer.name].grads[pname]
+            assert np.array_equal(layer.grads[pname], other), name
+        for model in (eager, planned):
+            get_optimizer(prob.optimizer, prob.learning_rate).step(model)
+        we, wp = eager.get_weights(), planned.get_weights()
+        for key in we:
+            assert np.array_equal(we[key], wp[key]), key
+
+    check()
+
+
+def test_first_conv_skips_its_dead_input_gradient():
+    space = _fixed_space((6, 6, 2), [
+        Conv2DOp(3, kernel_size=3, activation="relu"),
+        Conv2DOp(4, kernel_size=3, activation="tanh"),
+        FlattenOp(), DenseOp(3),
+    ])
+    network = space.build_network((), np.random.default_rng(1))
+    first, second = network.layers[0], network.layers[1]
+    calls = {}
+
+    def spy(layer):
+        inner = layer.backward
+
+        def backward(gout, need_gx=True):
+            gx = inner(gout, need_gx=need_gx)
+            calls[layer.name] = (need_gx, gx)
+            return gx
+        layer.backward = backward
+
+    spy(first)
+    spy(second)
+    x = np.random.default_rng(0).normal(size=(4, 6, 6, 2)).astype(np.float32)
+    network.backward(np.ones_like(network.forward(x, training=True)))
+    assert calls[first.name][0] is False and calls[first.name][1] is None
+    assert calls[second.name][0] is True
+    assert calls[second.name][1].shape == (4,) + first.output_shape
+    trained = list(network.trainable())
+    assert trained
+    for name, layer, pname in trained:
+        assert layer.grads[pname].shape == layer.params[pname].shape, name
+
+    # computing every gradient, input gradients included, leaves the
+    # parameter gradients bit-identical
+    lean = {name: layer.grads[pname].copy()
+            for name, layer, pname in trained}
+    live = network.liveness
+    network.liveness = Liveness(
+        parents=live.parents, runs_bwd=(True,) * len(live.runs_bwd),
+        need_gx=tuple((True,) * len(pis) for pis in live.parents))
+    network.backward(np.ones_like(network.forward(x, training=True)))
+    assert calls[first.name][0] is True
+    for name, layer, pname in trained:
+        assert np.array_equal(layer.grads[pname], lean[name]), name
