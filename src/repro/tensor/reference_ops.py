@@ -8,10 +8,10 @@ pooling kernels and optimizer update rules that ``autodiff_ops`` and
 1. the kernel-equivalence test suite (``tests/test_kernel_equivalence.py``)
    asserts that the optimized paths produce ``allclose`` outputs and
    gradients against these on randomized shapes, and
-2. the perf harness (``benchmarks/perf/``) measures the optimized hot path
-   against this baseline — including the float64 promotion the old stack
-   suffered from float64 datasets — and records both sides in
-   ``BENCH_kernels.json``.
+2. the perf gates (``benchmarks/test_perf_gates.py``) time the optimized
+   hot path against this baseline — including the float64 promotion the
+   old stack suffered from float64 datasets — and fail when the speed-up
+   floor is lost.
 
 Do not "fix" or optimize anything here; that would silently move the
 goalposts for both consumers.  The cache layouts intentionally differ

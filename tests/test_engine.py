@@ -5,10 +5,10 @@ so every equivalence assertion here uses exact comparison
 (``np.array_equal`` / ``==``), never ``allclose``.
 """
 
-import sys
+import gc
 import threading
+import tracemalloc
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,8 +43,6 @@ from repro.tensor.engine import (
 from repro.tensor.layers import BuildError
 from repro.tensor.network import Liveness
 from repro.tensor.training import evaluate
-
-REPO = Path(__file__).resolve().parents[1]
 
 #: fixed per-app candidates — same literals the engine benchmark uses
 APP_SEQS = {
@@ -414,17 +412,49 @@ def test_plan_cache_lock_is_in_the_declared_hierarchy():
 # ---------------------------------------------------------------------------
 
 
-def test_run_step_steady_state_is_allocation_free():
-    sys.path.insert(0, str(REPO))
+def steady_state_allocs(step, *, steps: int = 5) -> dict:
+    """Net heap blocks and bytes a warm ``step()`` retains, per step.
+
+    Calls ``step()`` once under tracemalloc to warm every lazy path,
+    then diffs snapshots taken around ``steps`` more calls.
+    """
+    gc.collect()
+    tracemalloc.start()
     try:
-        from benchmarks.perf.timing import steady_state_allocs
+        step()
+        gc.collect()
+        before = tracemalloc.take_snapshot()
+        for _ in range(steps):
+            step()
+        gc.collect()
+        after = tracemalloc.take_snapshot()
     finally:
-        sys.path.pop(0)
-    ds, space = _tiny_dense_setup()
-    model = space.build_network((), np.random.default_rng(0))
-    plan = StepPlan(model, 16, [ds.x_train.dtype], ds.y_train.dtype,
-                    ds.y_train.shape[1:], "categorical_crossentropy")
-    idx = np.arange(16)
+        tracemalloc.stop()
+    # tracemalloc's own snapshot bookkeeping shows up as +2 blocks per
+    # snapshot; exclude it so a genuinely allocation-free step reads 0
+    own = (tracemalloc.Filter(False, tracemalloc.__file__),)
+    count = size = 0
+    for stat in after.filter_traces(own).compare_to(
+            before.filter_traces(own), "filename"):
+        count += stat.count_diff
+        size += stat.size_diff
+    return {"allocs_per_step": max(0, count) // steps,
+            "alloc_bytes_per_step": max(0, size) // steps}
+
+
+@pytest.mark.parametrize("app", sorted(APP_SEQS))
+def test_run_step_steady_state_is_allocation_free(app):
+    """The step body (gather, forward, loss, backward) replays into the
+    arena; the optimizer update is shared with eager and excluded."""
+    prob = _problem(app)
+    ds = prob.dataset
+    xs = ds.x_train if isinstance(ds.x_train, (list, tuple)) else \
+        (ds.x_train,)
+    bs = prob.batch_size
+    idx = np.random.default_rng(0).permutation(ds.y_train.shape[0])[:bs]
+    model = prob.build_model(prob.space.validate_seq(APP_SEQS[app]), rng=0)
+    plan = StepPlan(model, bs, [a.dtype for a in xs], ds.y_train.dtype,
+                    ds.y_train.shape[1:], prob.loss)
     report = steady_state_allocs(
         lambda: plan.run_step(ds.x_train, ds.y_train, idx))
     assert report["allocs_per_step"] == 0

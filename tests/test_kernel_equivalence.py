@@ -13,6 +13,9 @@ case is exercised separately to document the new (correct) behaviour.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -226,3 +229,69 @@ def test_clipnorm_below_threshold_leaves_gradients_untouched():
     # under the threshold the step must not rescale (or copy) the grad
     np.testing.assert_array_equal(net._slots[0].grads["w"], g)
     np.testing.assert_allclose(net._slots[0].params["w"], -g)
+
+
+# ---------------------------------------------------------------------------
+# memory: what the optimized kernels keep alive and allocate
+# ---------------------------------------------------------------------------
+
+
+def _peak_traced_bytes(fn):
+    """Peak tracemalloc-traced allocation of one ``fn()`` call (NumPy
+    registers its buffers with tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conv2d_fwdbwd_peaks_below_reference_stack():
+    """Float32 forward+backward without the patch matrix vs the old
+    float64-promoted im2col stack."""
+    rng = _rng(0)
+    x = rng.normal(size=(32, 12, 12, 16)).astype(np.float32)
+    kern = rng.normal(size=(3, 3, 16, 16)).astype(np.float32)
+    bias = np.zeros(16, dtype=np.float32)
+
+    def fwdbwd(mod, xin):
+        def run():
+            out, cache = mod.conv2d_forward(xin, kern, bias)
+            return mod.conv2d_backward(out, cache)
+        return run
+
+    assert _peak_traced_bytes(fwdbwd(ops, x)) < \
+        _peak_traced_bytes(fwdbwd(ref, x.astype(np.float64)))
+
+
+def test_maxpool2d_cache_is_argmax_not_mask():
+    """uint8 window argmax vs a p*p boolean mask: p*p = 4x smaller."""
+    x = _rng(0).normal(size=(32, 12, 12, 32)).astype(np.float32)
+    _, cache_new = ops.maxpool2d_forward(x, 2)
+    _, cache_ref = ref.maxpool2d_forward(x, 2)
+    assert cache_new[0].nbytes * 4 <= cache_ref[0].nbytes
+
+
+def test_adam_update_reuses_its_buffers():
+    """A warm in-place update allocates less than the functional
+    reference, which builds fresh moment arrays every step."""
+    rng = _rng(0)
+    grad = rng.normal(size=(3, 3, 32, 64)).astype(np.float32)
+    param_ref = rng.normal(size=grad.shape).astype(np.float32)
+    param_new = param_ref.copy()
+    state = {}
+    opt = Adam(learning_rate=1e-3)
+
+    def step_ref():
+        nonlocal param_ref
+        param_ref = ref.adam_update(param_ref, grad, state,
+                                    learning_rate=1e-3)
+
+    def step_new():
+        opt._update("p", param_new, grad)
+
+    step_ref()
+    step_new()
+    assert _peak_traced_bytes(step_new) < _peak_traced_bytes(step_ref)

@@ -164,7 +164,7 @@ def test_chaos_with_retry_completes_all_candidates(space, problem):
     assert max(r.attempts for r in trace) > 1
 
 
-def test_chaos_crashes_do_not_perturb_scores(space, problem):
+def test_chaos_crashes_do_not_perturb_scores(space, problem, tmp_path):
     """Crash-only chaos + retry reproduces the clean run bit-for-bit:
     retries and jitter draw from dedicated rng streams."""
     def run(evaluator):
@@ -175,6 +175,33 @@ def test_chaos_crashes_do_not_perturb_scores(space, problem):
 
     clean = run(SerialEvaluator())
     chaos = run(ChaosEvaluator(SerialEvaluator(), crash_prob=0.5, seed=11))
+    assert [(r.arch_seq, r.score) for r in clean] == \
+           [(r.arch_seq, r.score) for r in chaos]
+
+    # the same under lcs transfer through a checkpoint store, where a
+    # retried candidate re-reads its provider and re-saves its weights
+    def run_lcs(evaluator, tag):
+        strategy = RegularizedEvolution(space, rng=3, population_size=4,
+                                        sample_size=2)
+        return run_search(problem, strategy, 12, scheme="lcs",
+                          store=CheckpointStore(tmp_path / tag),
+                          evaluator=evaluator, seed=3,
+                          retry=RetryPolicy(max_attempts=5, base_delay=0.0,
+                                            jitter=0.0))
+
+    def crashing():
+        return ChaosEvaluator(SerialEvaluator(), crash_prob=0.2, seed=17)
+
+    def sig(trace):
+        return [(r.candidate_id, r.arch_seq, r.score, r.attempts)
+                for r in trace]
+
+    clean = run_lcs(SerialEvaluator(), "clean")
+    chaos = run_lcs(crashing(), "chaos")
+    assert len(chaos) == 12 and all(r.ok for r in chaos)
+    assert chaos.fault_stats["chaos"]["injected"]["crash"] > 0
+    assert chaos.fault_stats["retries"] > 0
+    assert sig(chaos) == sig(run_lcs(crashing(), "again"))
     assert [(r.arch_seq, r.score) for r in clean] == \
            [(r.arch_seq, r.score) for r in chaos]
 

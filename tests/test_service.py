@@ -8,7 +8,12 @@ import time
 import pytest
 
 from repro.checkpoint import ShardedCheckpointStore
-from repro.cluster import SerialEvaluator, ThreadPoolEvaluator, run_search
+from repro.cluster import (
+    RetryPolicy,
+    SerialEvaluator,
+    ThreadPoolEvaluator,
+    run_search,
+)
 from repro.nas import RandomSearch, RegularizedEvolution
 from repro.service import (
     AdmissionError,
@@ -138,6 +143,45 @@ def test_chaos_lands_only_in_the_chaotic_sessions_stats(space, problem,
     assert chaos_trace.fault_stats["failed_records"] == 4
     assert all(r.ok for r in clean_trace)
     assert not any(r.ok for r in chaos_trace)
+
+
+def test_loaded_fleet_keeps_chaos_isolated(space, problem, tmp_path):
+    """Ten interleaved sessions on a 4-worker pool, 1 in 5 under a 20%
+    crash rate: every session finishes, no record is lost and no fault
+    leaks into a clean session."""
+    evaluator = ThreadPoolEvaluator(num_workers=4)
+    svc = SearchService(evaluator=evaluator,
+                        store=ShardedCheckpointStore(tmp_path / "s",
+                                                     num_shards=4),
+                        journal_dir=tmp_path / "j", max_active_sessions=10,
+                        max_pending_sessions=10, tenant_max_sessions=10,
+                        tenant_quota=2)
+    handles = []
+    for i in range(10):
+        chaotic = i % 5 == 0
+        handles.append((svc.submit(_spec(
+            space, problem, i, tenant=f"tenant{i % 3}", n=3,
+            chaos={"crash_prob": 0.2, "seed": i} if chaotic else None,
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
+        )), chaotic))
+    try:
+        svc.drive()
+    finally:
+        evaluator.close()
+    injected = 0
+    latencies = []
+    for handle, chaotic in handles:
+        assert handle.poll().state == SessionState.DONE
+        trace = handle.result()
+        assert len(trace) == 3
+        latencies.extend(r.end_time - r.start_time for r in trace)
+        faults = trace.fault_stats or {}
+        if chaotic:
+            injected += faults.get("by_kind", {}).get("injected", 0)
+        else:
+            assert faults.get("total_faults", 0) == 0
+    assert injected > 0
+    assert sorted(latencies)[len(latencies) // 2] > 0.0
 
 
 def test_buggy_session_fails_alone(space, problem, tmp_path):

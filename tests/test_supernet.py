@@ -307,13 +307,18 @@ def test_chaos_crashes_never_corrupt_shared_store():
             provider_policy="nearest", seed=5, evaluator=evaluator,
             retry=RetryPolicy(max_attempts=6, base_delay=0.0, jitter=0.0))
 
-    _, clean = run(chaos=False)
+    clean_backend, clean = run(chaos=False)
     backend, chaotic = run(chaos=True)
     assert chaotic.fault_stats["chaos"]["injected"]["crash"] > 0
     assert all(r.ok for r in chaotic.records)
     assert store_finite(backend.supernet)
     assert [r.score for r in chaotic.records] == \
         [r.score for r in clean.records]
+    clean_store = dict(clean_backend.supernet.items())
+    chaos_store = dict(backend.supernet.items())
+    assert chaos_store.keys() == clean_store.keys()
+    for name, arr in chaos_store.items():
+        assert np.array_equal(arr, clean_store[name]), name
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,14 @@ from repro.apps import make_image_dataset
 from repro.checkpoint import CheckpointStore
 from repro.cluster import Trace, run_search
 from repro.cluster.simcluster import CostModel, SimulatedCluster
-from repro.nas import Problem, RandomSearch, RegularizedEvolution
+from repro.experiments.zerocost import _cascade_scores, _sample_valid
+from repro.metrics import kendall_tau
+from repro.nas import (
+    Problem,
+    RandomSearch,
+    RegularizedEvolution,
+    estimate_candidate,
+)
 
 from test_analysis_gate import INVALID_SEQ, VALID_SEQ, build_strict_space
 
@@ -163,6 +170,21 @@ def test_make_gate_resolution(strict_problem):
         ZeroCostGate)
     with pytest.raises(ValueError):
         make_gate(strict_problem, zero_cost=3.5)
+
+
+def test_cascade_keeps_the_partial_training_ranking(strict_problem):
+    """Rejecting the bottom quarter by proxy and ranking the survivors
+    by partial training keeps most of the partial-training order."""
+    seqs, _ = _sample_valid(strict_problem, 10, np.random.default_rng(7))
+    gate = ZeroCostGate(strict_problem, warmup=2, seed=0)
+    proxy = [gate.proxy_score(s) for s in seqs]
+    again = ZeroCostGate(strict_problem, warmup=2, seed=0)
+    assert proxy == [again.proxy_score(s) for s in seqs]
+    partial = [estimate_candidate(strict_problem, s, seed=0).score
+               for s in seqs]
+    combined, survivors = _cascade_scores(proxy, partial, 0.25)
+    assert survivors < len(seqs)
+    assert kendall_tau(combined, partial) >= 0.5
 
 
 # ---------------------------------------------------------------------------
