@@ -6,7 +6,7 @@ Subpackages:
 - :mod:`repro.tensor`     — from-scratch NumPy deep-learning framework
 - :mod:`repro.nas`        — search spaces, strategies, candidate estimation
 - :mod:`repro.transfer`   — shape sequences, LP/LCS matching, weight transfer
-- :mod:`repro.checkpoint` — npz checkpoint store + I/O extensions
+- :mod:`repro.checkpoint` — checkpoint store + I/O extensions
 - :mod:`repro.cluster`    — scheduler, evaluators, discrete-event simulator
 - :mod:`repro.apps`       — the four evaluated applications (synthetic data)
 - :mod:`repro.metrics`    — Kendall's tau, confidence intervals, geomean

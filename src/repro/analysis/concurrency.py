@@ -39,10 +39,11 @@ concurrency structure of the whole program from the stdlib AST:
   (``python -m repro.analysis.concurrency src/repro --json ... --dot ...``).
 - **View escape** (R009): names tainted by zero-copy buffer views
   (``np.frombuffer`` / ``np.memmap`` / ``memoryview`` / ``shm.buf`` /
-  ``_views_from_buffer``) must never reach a pickling boundary —
-  ``pickle.dump(s)`` or a ``.submit(...)`` on a process pool — where the
-  serialized copy silently severs the shared storage.  This generalizes
-  the supernet backend's runtime "reject process pools" check.
+  the checkpoint codec's ``decode_views``) must never reach a pickling
+  boundary — ``pickle.dump(s)`` or a ``.submit(...)`` on a process
+  pool — where the serialized copy silently severs the shared storage.
+  This generalizes the supernet backend's runtime "reject process
+  pools" check.
 
 Call resolution is deliberately conservative and syntactic: ``self.m()``
 resolves through the class and its analyzed bases; ``self.attr.m()``
@@ -82,7 +83,7 @@ _MUTATORS = frozenset({
 #: Callables whose result taints a name as a zero-copy buffer view.
 _VIEW_SOURCES = frozenset({"frombuffer", "memmap", "memoryview"})
 #: Function-name fragments that produce view dicts.
-_VIEW_SOURCE_FRAGMENTS = ("views_from_buffer",)
+_VIEW_SOURCE_FRAGMENTS = ("decode_views",)
 #: Escape-sink method names that hand a callable to another thread.
 _THREAD_SINKS = frozenset({"submit", "add_done_callback"})
 
@@ -1001,9 +1002,10 @@ class ProgramModel:
             except Exception:
                 return ""
 
-        # pass 1: propagate taint through simple assignments to a
-        # fixpoint (ast.walk order is breadth-first, not source order,
-        # so a single sweep could miss `a = frombuffer(...); b = a`)
+        # pass 1: propagate taint through simple and tuple-unpacking
+        # assignments to a fixpoint (ast.walk order is breadth-first, not
+        # source order, so a single sweep could miss
+        # `a = frombuffer(...); b = a`)
         assigns = [s for s in ast.walk(fn) if isinstance(s, ast.Assign)]
         changed = True
         while changed:
@@ -1013,7 +1015,8 @@ class ProgramModel:
                     isinstance(stmt.value, ast.Call)
                     and "ProcessPool" in ast.dump(stmt.value.func))
                 is_tainted = value_tainted(stmt.value)
-                for target in stmt.targets:
+                for target in [t for target in stmt.targets
+                               for t in getattr(target, "elts", [target])]:
                     if not isinstance(target, ast.Name):
                         continue
                     if is_tainted and target.id not in tainted:

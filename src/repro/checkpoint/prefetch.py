@@ -23,7 +23,7 @@ from typing import Optional
 
 from ..analysis.lockcheck import make_lock
 from .cache import WeightCache
-from .store import CorruptCheckpointError
+from .codec import CorruptCheckpointError
 
 _STOP = object()
 

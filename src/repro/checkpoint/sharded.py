@@ -247,16 +247,11 @@ class ShardedCheckpointStore:
     def exists(self, key: str) -> bool:
         return self._locate(key) is not None
 
-    # -- paths (the shard the key lives on, else its primary) ------------
+    # -- path (the shard the key lives on, else its primary) -------------
     def path(self, key: str) -> Path:
         idx = self._locate(key)
         return self.shards[self.shard_index(key) if idx is None
                            else idx].path(key)
-
-    def meta_path(self, key: str) -> Path:
-        idx = self._locate(key)
-        return self.shards[self.shard_index(key) if idx is None
-                           else idx].meta_path(key)
 
     # -- quarantine ------------------------------------------------------
     def quarantine(self, key: str) -> Path:

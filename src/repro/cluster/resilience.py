@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..checkpoint.store import CorruptCheckpointError
+from ..checkpoint.codec import CorruptCheckpointError
 from .trace import Trace, TraceRecord
 
 __all__ = [

@@ -34,7 +34,7 @@ in virtual time but with *real* side effects where it matters:
   included, charged to the virtual clock) or the candidate lands as a
   failed record;
 * **stragglers** — a slow node multiplies the attempt's duration;
-* **corrupt checkpoints** — the saved npz is *actually truncated on
+* **corrupt checkpoints** — the saved file is *actually truncated on
   disk*, so a later provider load genuinely raises
   :class:`CorruptCheckpointError`, is quarantined, and the child
   cold-starts.
@@ -312,7 +312,7 @@ class SimulatedCluster:
             record.add_io_hidden(self.cost.save_seconds(record.ckpt_bytes))
         if faults is not None and faults.corrupt_prob and \
                 float(fault_rng.uniform()) < faults.corrupt_prob:
-            # genuinely truncate the npz: a later provider load hits
+            # genuinely truncate the file: a later provider load hits
             # CorruptCheckpointError and the quarantine path
             driver.fault_stats.record_fault("corrupt_write")
             key = driver._key(record.candidate_id)

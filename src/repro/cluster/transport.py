@@ -3,8 +3,9 @@
 Pickling a provider's full tensor dict into every task payload costs a
 serialize + pipe-write + deserialize per child — and evolution sends the
 *same* provider to many children.  Instead the scheduler **publishes**
-the weights once per provider into a shared segment and ships only a
-tiny picklable :class:`WeightHandle`; workers attach and build NumPy
+the weights once per provider into a shared segment — encoded in the
+checkpoint file format (:mod:`repro.checkpoint.codec`) — and ships only
+a tiny picklable :class:`WeightHandle`; workers attach and decode NumPy
 views directly onto the shared buffer (zero-copy — ``transfer_weights``
 then copies just the matched tensors into the receiver model).
 
@@ -12,7 +13,7 @@ Two interchangeable backends:
 
 - :class:`SharedMemoryTransport` — ``multiprocessing.shared_memory``
   segments (tmpfs-backed on Linux).
-- :class:`MmapFileTransport` — one flat binary file per provider,
+- :class:`MmapFileTransport` — one checkpoint-format file per provider,
   workers map it with ``np.memmap`` (page-cache backed).  Fallback when
   POSIX shared memory is unavailable.
 
@@ -29,14 +30,12 @@ import shutil
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..analysis.lockcheck import make_lock
-
-#: index entry: (tensor name, dtype.str, shape tuple, byte offset)
-IndexEntry = Tuple[str, str, tuple, int]
+from ..checkpoint.codec import decode_views, encode
 
 #: Lock-discipline assertion (lint R004/R007): publish bookkeeping is
 #: guarded by ``self._lock`` (shared by subclasses), the worker-side
@@ -52,32 +51,7 @@ class WeightHandle:
 
     kind: str            # "shm" | "mmap"
     name: str            # segment name or file path
-    index: tuple         # tuple[IndexEntry, ...]
-    nbytes: int
-
-
-def _build_index(weights: dict) -> tuple[tuple, int]:
-    index = []
-    offset = 0
-    for name, arr in weights.items():
-        arr = np.asarray(arr)
-        index.append((name, arr.dtype.str, tuple(arr.shape), offset))
-        offset += int(arr.nbytes)
-    return tuple(index), offset
-
-
-def _views_from_buffer(buf, index: tuple) -> dict:
-    """Named read-only array views onto a flat byte buffer."""
-    out = {}
-    for name, dtype, shape, offset in index:
-        dt = np.dtype(dtype)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        view = np.frombuffer(buf, dtype=dt, count=count,
-                             offset=offset).reshape(shape)
-        if view.flags.writeable:
-            view.flags.writeable = False
-        out[name] = view
-    return out
+    nbytes: int          # length of the encoded blob
 
 
 class _BaseTransport:
@@ -98,15 +72,14 @@ class _BaseTransport:
             if handle is not None:
                 self.reuses += 1
                 return handle
-        index, total = _build_index(weights)
-        handle = self._create(key, weights, index, total)
+        handle = self._create(key, encode(weights))
         with self._lock:
             # a concurrent publish of the same key may have won the race
             existing = self._published.setdefault(key, handle)
             lost_race = existing is not handle
             if not lost_race:
                 self.publishes += 1
-                self.published_bytes += total
+                self.published_bytes += handle.nbytes
             else:
                 self.reuses += 1
         if lost_race:
@@ -114,7 +87,7 @@ class _BaseTransport:
             return existing
         return handle
 
-    def _create(self, key, weights, index, total) -> WeightHandle:
+    def _create(self, key: str, blob) -> WeightHandle:
         raise NotImplementedError
 
     def _destroy(self, handle: WeightHandle) -> None:
@@ -156,17 +129,12 @@ class SharedMemoryTransport(_BaseTransport):
         super().__init__()
         self._segments: dict[str, object] = {}   # handle.name -> SharedMemory
 
-    def _create(self, key, weights, index, total) -> WeightHandle:
+    def _create(self, key: str, blob) -> WeightHandle:
         from multiprocessing import shared_memory
 
-        shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        flat = np.frombuffer(shm.buf, dtype=np.uint8)
-        for (name, _, _, offset) in index:
-            arr = np.ascontiguousarray(np.asarray(weights[name]))
-            raw = arr.view(np.uint8).reshape(-1)
-            flat[offset:offset + arr.nbytes] = raw
-        del flat
-        handle = WeightHandle(self.kind, shm.name, index, total)
+        shm = shared_memory.SharedMemory(create=True, size=len(blob))
+        shm.buf[:len(blob)] = blob
+        handle = WeightHandle(self.kind, shm.name, len(blob))
         with self._lock:
             self._segments[shm.name] = shm
         return handle
@@ -204,15 +172,13 @@ class MmapFileTransport(_BaseTransport):
             self._owns_root = False
         self.root = str(root)
 
-    def _create(self, key, weights, index, total) -> WeightHandle:
-        path = os.path.join(self.root, f"{key}.bin")
+    def _create(self, key: str, blob) -> WeightHandle:
+        path = os.path.join(self.root, f"{key}.ckpt")
         tmp = path + ".tmp"
         with open(tmp, "wb") as fh:
-            for (name, _, _, _) in index:
-                arr = np.ascontiguousarray(np.asarray(weights[name]))
-                fh.write(arr.view(np.uint8).reshape(-1).tobytes())
+            fh.write(blob)
         os.replace(tmp, path)
-        return WeightHandle(self.kind, path, index, total)
+        return WeightHandle(self.kind, path, len(blob))
 
     def _destroy(self, handle: WeightHandle) -> None:
         try:
@@ -226,7 +192,7 @@ class MmapFileTransport(_BaseTransport):
             shutil.rmtree(self.root, ignore_errors=True)
 
 
-def make_transport(transport, store=None):
+def make_transport(transport):
     """Normalise the ``run_search(transport=...)`` knob to an instance.
 
     ``"shm"`` / ``"mmap"`` pick a backend explicitly; ``"auto"`` tries
@@ -244,10 +210,7 @@ def make_transport(transport, store=None):
     if transport == "auto" or transport is True:
         try:
             probe = SharedMemoryTransport()
-            handle = probe._create(
-                "probe", {"p": np.zeros(1, dtype=np.uint8)},
-                (("p", "|u1", (1,), 0),), 1)
-            probe._destroy(handle)
+            probe._destroy(probe._create("probe", bytes(1)))
             return probe
         except Exception:
             return MmapFileTransport()
@@ -279,7 +242,7 @@ def _attach(handle: WeightHandle) -> tuple:
             resource_tracker.unregister(shm._name, "shared_memory")
         except Exception:
             pass
-        weights = _views_from_buffer(shm.buf, handle.index)
+        weights, _ = decode_views(shm.buf[:handle.nbytes], key=handle.name)
 
         def closer(orig_close=shm.close):
             try:
@@ -294,7 +257,7 @@ def _attach(handle: WeightHandle) -> tuple:
         return weights, closer
     if handle.kind == "mmap":
         raw = np.memmap(handle.name, dtype=np.uint8, mode="r")
-        weights = _views_from_buffer(raw, handle.index)
+        weights, _ = decode_views(raw, key=handle.name, path=handle.name)
         return weights, None
     raise ValueError(f"unknown handle kind {handle.kind!r}")
 

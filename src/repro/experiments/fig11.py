@@ -47,7 +47,7 @@ def run_fig11(ctx) -> Fig11Result:
 
 def format_fig11(result: Fig11Result) -> str:
     return text_table(
-        "Figure 11: average checkpoint sizes (real on-disk npz bytes)",
+        "Figure 11: average checkpoint sizes (real on-disk bytes)",
         ["App", "Checkpoints", "Mean bytes", "Max", "Min"],
         [
             [r.app, r.n_checkpoints, human_bytes(r.mean_bytes),

@@ -1,38 +1,35 @@
-"""Whole-model bundles: architecture config + weights in one npz file.
+"""Whole-model bundles: architecture config + weights in one file.
 
 A bundle stores an arbitrary JSON-serialisable ``config`` (typically
-``{"app": ..., "arch_seq": [...]}``) next to the ordered named weights, so
-a discovered model can be re-instantiated without the originating search
-session.  Extension per DESIGN.md "Beyond the paper".
+``{"app": ..., "arch_seq": [...]}``) as the header meta of one
+:mod:`repro.checkpoint.codec` blob, next to the ordered named weights,
+so a discovered model can be re-instantiated without the originating
+search session.  Extension per DESIGN.md "Beyond the paper".
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-_CONFIG_KEY = "__config_json__"
-_ORDER_KEY = "__order__"
+# repro.checkpoint imports repro.analysis, which imports repro.tensor, so
+# the codec is imported on first use rather than at module import.
 
 
 def save_bundle(path, weights: dict[str, np.ndarray], config: dict) -> Path:
+    from ..checkpoint.codec import encode
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {name: np.asarray(arr) for name, arr in weights.items()}
-    payload[_CONFIG_KEY] = np.frombuffer(
-        json.dumps(config).encode("utf-8"), dtype=np.uint8
-    )
-    payload[_ORDER_KEY] = np.array(list(weights.keys()), dtype=object)
-    with open(path, "wb") as fh:
-        np.savez(fh, **payload)
+    path.write_bytes(encode(weights, config))
     return path
 
 
 def load_bundle(path) -> tuple[dict, dict[str, np.ndarray]]:
-    with np.load(path, allow_pickle=True) as data:
-        config = json.loads(bytes(data[_CONFIG_KEY].tobytes()).decode("utf-8"))
-        order = [str(n) for n in data[_ORDER_KEY]]
-        weights = {name: data[name] for name in order}
+    """``(config, weights)``; the weights are read-only views."""
+    from ..checkpoint.codec import decode_views
+
+    weights, config = decode_views(Path(path).read_bytes(), key="bundle",
+                                   path=path)
     return config, weights

@@ -2,14 +2,15 @@
 
 The recorded EXPERIMENTS.md run left cifar10 LCS checkpoints under
 results/default/ckpt/; this guards them against the truncation that lost
-the original seed capture (each .npz must be a loadable zip, each .json
-valid metadata)."""
+the original seed capture.  Every file is read through
+:class:`CheckpointStore`, so each load is CRC-checked and none unpickles."""
 
-import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from repro.checkpoint import CheckpointStore
 
 REPO = Path(__file__).resolve().parent.parent
 CKPT_ROOT = REPO / "results" / "default" / "ckpt"
@@ -27,26 +28,25 @@ def test_recorded_run_dirs_exist():
 
 @pytest.mark.parametrize("run_dir", RUN_DIRS, ids=lambda d: d.name)
 def test_checkpoints_load(run_dir):
-    npz_files = sorted(run_dir.glob("*.npz"))
-    assert npz_files, f"no checkpoints in {run_dir}"
-    for path in npz_files:
-        # allow_pickle covers the store's object-dtype __order__ array
-        with np.load(path, allow_pickle=True) as data:
-            names = [n for n in data.files if not n.startswith("__")]
-            assert names, f"{path} holds no weight tensors"
-            assert any(n.endswith(".kernel") for n in names)
-            for n in names:
-                assert np.isfinite(data[n]).all(), f"{path}:{n} non-finite"
+    store = CheckpointStore(run_dir)
+    assert len(store) == 60, f"expected 60 checkpoints in {run_dir}"
+    # one file per key: nothing else lives in a run directory
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted(
+        store.path(key).name for key in store.keys())
+    for key in store.keys():
+        weights = store.load(key)
+        assert weights, f"{key} holds no weight tensors"
+        assert any(n.endswith(".kernel") for n in weights)
+        for n, arr in weights.items():
+            assert np.isfinite(arr).all(), f"{key}:{n} non-finite"
 
 
 @pytest.mark.parametrize("run_dir", RUN_DIRS, ids=lambda d: d.name)
 def test_checkpoint_metadata(run_dir):
-    json_files = sorted(run_dir.glob("*.json"))
-    assert json_files
-    for path in json_files:
-        meta = json.loads(path.read_text())
+    store = CheckpointStore(run_dir)
+    assert store.keys()
+    for key in store.keys():
+        meta = store.load_meta(key)
         assert meta["scheme"] == "lcs"
         assert isinstance(meta["arch_seq"], list)
         assert np.isfinite(meta["score"])
-        # every metadata file pairs with a loadable checkpoint
-        assert path.with_suffix(".npz").exists()

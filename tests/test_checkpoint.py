@@ -1,7 +1,7 @@
 """CheckpointStore, AsyncCheckpointWriter."""
 
-import json
 import os
+import pickle
 import queue
 import threading
 import time
@@ -10,6 +10,10 @@ import numpy as np
 import pytest
 
 from repro.checkpoint import AsyncCheckpointWriter, CheckpointStore
+from repro.checkpoint.codec import MAGIC, decode_views
+from repro.cluster import SearchDriver
+from repro.cluster.trace import TraceRecord
+from repro.nas import RandomSearch
 
 
 def weights(seed=0):
@@ -61,40 +65,25 @@ def test_compressed_store_is_smaller_for_redundant_data(tmp_path):
     assert np.array_equal(packed.load("k")["d.kernel"], w["d.kernel"])
 
 
-def test_load_never_needs_pickle(tmp_path):
+def test_load_never_needs_pickle(tmp_path, monkeypatch):
     store = CheckpointStore(tmp_path)
     w = weights()
     store.save("k", w, meta={"score": 0.5})
-    # the archive holds only the tensors; order lives in the sidecar
-    with np.load(store.path("k")) as data:      # allow_pickle defaults off
-        assert sorted(data.files) == sorted(w)
-    sidecar = json.loads(store.meta_path("k").read_text())
-    assert sidecar["__order__"] == list(w)
-    assert sidecar["__meta__"] == {"score": 0.5}
-    assert list(store.load("k")) == list(w)
+    # one self-describing file per key: order and meta live in its header
+    assert [p.name for p in tmp_path.iterdir()] == ["k.ckpt"]
+    assert store.path("k").read_bytes().startswith(MAGIC)
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("checkpoint load must not unpickle")
 
-def test_legacy_object_array_archive_still_loads(tmp_path):
-    store = CheckpointStore(tmp_path)
-    w = weights()
-    # old stores embedded the order as an object array and wrote the raw
-    # user meta (no __order__ wrapper) to the sidecar
-    order = np.array(list(w.keys()), dtype=object)
-    np.savez(store.path("k"), __order__=order, **w)
-    store.meta_path("k").write_text(json.dumps({"score": 0.7}))
+    for name in ("load", "loads"):
+        monkeypatch.setattr(pickle, name, forbidden)
+    monkeypatch.setattr(np, "load", forbidden)
     loaded = store.load("k")
     assert list(loaded) == list(w)
     assert all(np.array_equal(loaded[k], w[k]) for k in w)
-    assert store.load_meta("k") == {"score": 0.7}
-
-
-def test_legacy_archive_without_order_index_loads(tmp_path):
-    store = CheckpointStore(tmp_path)
-    w = weights()
-    np.savez(store.path("k"), **w)              # no sidecar, no __order__
-    loaded = store.load("k")                    # zip-entry order
-    assert list(loaded) == list(w)
-    assert store.load_meta("k") is None
+    assert all(not v.flags.writeable for v in loaded.values())
+    assert store.load_meta("k") == {"score": 0.5}
 
 
 def test_async_writer_flushes_to_store(tmp_path):
@@ -208,7 +197,7 @@ def test_interrupted_save_never_tears_existing_checkpoint(tmp_path,
                                                           monkeypatch):
     """A crash mid-save (simulated: os.replace raises) must leave the
     previously saved checkpoint fully intact — readers see old-or-new,
-    never a torn npz at the canonical name."""
+    never a torn file at the canonical name."""
     import os as _os
 
     store = CheckpointStore(tmp_path)
@@ -229,31 +218,76 @@ def test_interrupted_save_never_tears_existing_checkpoint(tmp_path,
     assert all(np.array_equal(loaded[k], w_old[k]) for k in w_old)
 
 
+@pytest.mark.parametrize("die_at", [1, 2], ids=["first", "second"])
+def test_save_killed_after_temp_write_keeps_a_whole_version(
+        tmp_path, monkeypatch, space, problem, die_at):
+    """A save killed at its first or second ``os.replace``, after the temp
+    file is written: the key still loads as one whole version — the
+    previous one, with its own meta, when the save did not return — so
+    the scheduler quarantines nothing and no temp file is listed."""
+    store = CheckpointStore(tmp_path)
+    w_old, w_new = weights(0), weights(1)
+    store.save("m_000001", w_old, meta={"score": 0.5})
+    real_replace = os.replace
+    calls = []
+
+    def dying_replace(src, dst):
+        calls.append(dst)
+        if len(calls) == die_at:
+            raise OSError("killed after the temp write")
+        real_replace(src, dst)
+
+    monkeypatch.setattr("repro.checkpoint.store.os.replace", dying_replace)
+    try:
+        store.save("m_000001", w_new, meta={"score": 0.9})
+        saved = True
+    except OSError:
+        saved = False
+    monkeypatch.undo()
+    w_want, meta_want = ((w_new, {"score": 0.9}) if saved
+                         else (w_old, {"score": 0.5}))
+    driver = SearchDriver(problem, RandomSearch(space, rng=0), 1,
+                          scheme="lcs", store=store)
+    loaded = driver._load_provider("m_000001", TraceRecord(0, (), 0.0))
+    assert loaded is not None
+    assert all(np.array_equal(loaded[k], w_want[k]) for k in w_want)
+    assert store.load_meta("m_000001") == meta_want
+    assert driver.fault_stats.quarantined == 0
+    assert store.quarantined_keys() == []
+    assert store.keys() == ["m_000001"]
+
+
+def test_save_is_one_fsync_and_one_replace(tmp_path, monkeypatch):
+    store = CheckpointStore(tmp_path)
+    counts = {"fsync": 0, "replace": 0}
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        counts["fsync"] += 1
+        real_fsync(fd)
+
+    def replace(src, dst):
+        counts["replace"] += 1
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    for i in range(3):
+        store.save(f"m_{i:06d}", weights(i), meta={"i": i})
+    assert counts == {"fsync": 3, "replace": 3}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"m_{i:06d}.ckpt" for i in range(3)]
+
+
 def test_crc_mismatch_raises_corrupt_checkpoint(tmp_path):
     from repro.checkpoint import CorruptCheckpointError
 
     store = CheckpointStore(tmp_path)
     store.save("m_000001", weights())
     path = store.path("m_000001")
-    # appended bytes keep the archive readable as a zip (the central
-    # directory is found by scanning from the end) but change its hash
     path.write_bytes(path.read_bytes() + b"\x00" * 16)
     with pytest.raises(CorruptCheckpointError, match="CRC32"):
         store.load("m_000001")
-
-
-def test_sidecar_without_crc_still_loads(tmp_path):
-    """Backward compatibility: checkpoints saved before CRC sidecars
-    existed (no __crc32__ key) load unchecked instead of erroring."""
-    store = CheckpointStore(tmp_path)
-    w = weights()
-    store.save("m_000001", w)
-    sidecar_path = store.meta_path("m_000001")
-    sidecar = json.loads(sidecar_path.read_text())
-    del sidecar["__crc32__"]
-    sidecar_path.write_text(json.dumps(sidecar))
-    loaded = store.load("m_000001")
-    assert all(np.array_equal(loaded[k], w[k]) for k in w)
 
 
 def test_crc_roundtrips_for_compressed_stores(tmp_path):
@@ -270,7 +304,7 @@ def test_load_decodes_the_bytes_it_verified(tmp_path, monkeypatch):
     import types
     import zlib
 
-    import repro.checkpoint.store as store_mod
+    import repro.checkpoint.codec as codec_mod
 
     store = CheckpointStore(tmp_path / "a")
     w_old, w_new = weights(0), weights(1)
@@ -289,15 +323,15 @@ def test_load_decodes_the_bytes_it_verified(tmp_path, monkeypatch):
             swapped.append(True)
         return crc
 
-    monkeypatch.setattr(store_mod, "zlib",
+    monkeypatch.setattr(codec_mod, "zlib",
                         types.SimpleNamespace(crc32=crc32_then_swap))
     loaded = store.load("m_000001")
     assert swapped
     assert all(np.array_equal(loaded[k], w_old[k]) for k in w_old)
     # the file on disk now holds the other checkpoint's tensors
     monkeypatch.undo()
-    with np.load(path) as raw:
-        assert np.array_equal(raw["d.kernel"], w_new["d.kernel"])
+    raw, _ = decode_views(path.read_bytes())
+    assert np.array_equal(raw["d.kernel"], w_new["d.kernel"])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from repro.analysis.concurrency import analyze_files, analyze_sources, main
 from repro.analysis.lockcheck import LOCK_HIERARCHY
+from repro.checkpoint.codec import decode_views
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
@@ -392,6 +393,22 @@ def ship(buf, fn):
     pool = ProcessPoolExecutor(2)
     view = np.frombuffer(buf, dtype=np.uint8)
     return pool.submit(fn, view)
+"""})
+    assert codes(model) == ["R009"]
+
+
+def test_pickled_checkpoint_views_are_flagged():
+    """The checkpoint codec's view builder is a taint source, through
+    tuple unpacking too.  The source is built from the function's real
+    name, so renaming it without updating the analyzer fails here."""
+    builder = decode_views.__name__
+    model = analyze_sources({"m.py": f"""
+import pickle
+from repro.checkpoint.codec import {builder}
+
+def ship(blob):
+    weights, meta = {builder}(blob)
+    return pickle.dumps(weights)
 """})
     assert codes(model) == ["R009"]
 

@@ -416,8 +416,13 @@ def steady_state_allocs(step, *, steps: int = 5) -> dict:
     """Net heap blocks and bytes a warm ``step()`` retains, per step.
 
     Calls ``step()`` once under tracemalloc to warm every lazy path,
-    then diffs snapshots taken around ``steps`` more calls.
+    then diffs snapshots taken around ``steps`` more calls.  gc callbacks
+    are detached meanwhile: Hypothesis installs one that allocates on
+    every collection once any ``@given`` test has run, and the
+    ``gc.collect()`` calls here would book those allocations to the step.
     """
+    callbacks = gc.callbacks[:]
+    gc.callbacks.clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -430,6 +435,7 @@ def steady_state_allocs(step, *, steps: int = 5) -> dict:
         after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
+        gc.callbacks[:] = callbacks
     # tracemalloc's own snapshot bookkeeping shows up as +2 blocks per
     # snapshot; exclude it so a genuinely allocation-free step reads 0
     own = (tracemalloc.Filter(False, tracemalloc.__file__),)

@@ -12,7 +12,7 @@ def test_round_trip_preserves_weights_config_and_order(tmp_path):
         "a_layer.kernel": np.full((3, 3), 0.5, dtype=np.float32),
     }
     config = {"arch_seq": [1, 2, 3], "score": 0.75, "scheme": "lcs"}
-    path = save_bundle(tmp_path / "m.npz", weights, config)
+    path = save_bundle(tmp_path / "m.ckpt", weights, config)
     loaded_config, loaded = load_bundle(path)
     assert loaded_config == config
     # insertion order is part of the contract: shape sequences depend on it
@@ -25,7 +25,7 @@ def test_round_trip_preserves_weights_config_and_order(tmp_path):
 def test_round_trip_of_model_weights(tmp_path, space, problem):
     seq = space.sample(np.random.default_rng(0))
     model = problem.build_model(seq, rng=0)
-    path = save_bundle(tmp_path / "model.npz", model.get_weights(),
+    path = save_bundle(tmp_path / "model.ckpt", model.get_weights(),
                        {"arch_seq": list(seq)})
     config, weights = load_bundle(path)
     clone = problem.build_model(space.validate_seq(config["arch_seq"]),
