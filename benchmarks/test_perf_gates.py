@@ -23,8 +23,8 @@ Three kinds of gate live here:
   headline picks depends on measured proxy cost.
 
 End-to-end search throughput is perfbench's job (``perfbench/run.py``);
-deterministic invariants (zero-allocation steps, zero-copy binds, fault
-isolation) are tier-1 tests under ``tests/``.
+deterministic invariants (zero-copy binds, fault isolation) are tier-1
+tests under ``tests/``.
 
 The baseline is one pytest-benchmark JSON.  Re-record it from the parent
 commit's code with the command above, replacing the compare options by
@@ -35,7 +35,6 @@ timed body on purpose re-records that body's entry from its own code.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import pickle
 import shutil
 import statistics
@@ -84,8 +83,6 @@ from repro.nas import (
     estimate_candidate,
 )
 from repro.tensor import fit
-from repro.tensor.engine import StepPlan
-from repro.tensor.optimizers import get_optimizer
 from repro.tensor.training import evaluate
 from repro.transfer import SuperNet, SupernetTransferBackend, transfer_weights
 
@@ -335,52 +332,6 @@ def test_candidate_train(benchmark):
                                          ds.y_val))
     legacy = frozen(train_legacy, repeat=5)
     assert legacy / new >= 1.1, (legacy, new)
-
-
-# ---------------------------------------------------------------------------
-# engine: the compiled StepPlan (drift only)
-# ---------------------------------------------------------------------------
-
-#: the same fixed per-app candidates tests/test_engine.py replays
-STEP_SEQS = {
-    "cifar10": CIFAR10_SEQ,
-    "mnist": (6, 1, 1, 2, 0, 0, 0, 0, 0, 4, 2),
-    "nt3": (5, 1, 3, 0, 1, 0, 0, 0),
-    "uno": (6, 2, 1, 2, 1, 0, 0, 0, 0, 6, 2, 2, 4),
-}
-
-
-@pytest.mark.parametrize("app", sorted(STEP_SEQS))
-def test_plan_step(benchmark, app):
-    """One planned training step: gather, forward, loss, backward and
-    the optimizer update."""
-    prob = get_app(app).problem(seed=SEED)
-    ds = prob.dataset
-    xs = ds.x_train if isinstance(ds.x_train, (list, tuple)) else \
-        (ds.x_train,)
-    bs = prob.batch_size
-    idx = np.random.default_rng(SEED).permutation(ds.y_train.shape[0])[:bs]
-    model = prob.build_model(prob.space.validate_seq(STEP_SEQS[app]),
-                             rng=SEED)
-    opt = get_optimizer(prob.optimizer, prob.learning_rate, None)
-    plan = StepPlan(model, bs, [a.dtype for a in xs], ds.y_train.dtype,
-                    ds.y_train.shape[1:], prob.loss)
-
-    def step():
-        plan.run_step(ds.x_train, ds.y_train, idx)
-        opt.step(model)
-
-    timed(benchmark, step)
-
-
-def test_plan_search(benchmark):
-    """A 3-candidate baseline-scheme search on the plan engine.  Three
-    estimation epochs keep it training-dominated on the toy dataset."""
-    prob = dataclasses.replace(get_app("cifar10").problem(seed=SEED),
-                               estimation_epochs=3)
-    timed(benchmark, lambda: run_search(
-        prob, RandomSearch(prob.space, rng=SEED), 3, scheme="baseline",
-        seed=SEED, engine="plan"))
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,6 @@ LOCK_HIERARCHY: dict[str, int] = {
     "ProviderPrefetcher._lock": 10,
     "ShardedCheckpointStore._lock": 15,
     "_PoolEvaluator._lock": 20,
-    "PlanCache._lock": 25,
     "SuperNet._lock": 30,
     "WeightCache._lock": 40,
     "AsyncCheckpointWriter._lock": 50,

@@ -115,7 +115,7 @@ class _Pending:
 
 
 def _evaluate_task(problem, arch_seq, seed, provider_ref, matcher,
-                   keep_weights, engine="eager"):
+                   keep_weights):
     """Module-level so ProcessPoolEvaluator can pickle it.
 
     ``provider_ref`` is either the provider weights themselves or a
@@ -124,12 +124,11 @@ def _evaluate_task(problem, arch_seq, seed, provider_ref, matcher,
     provider_weights = resolve_provider_ref(provider_ref)
     return estimate_candidate(
         problem, arch_seq, seed=seed, provider_weights=provider_weights,
-        matcher=matcher, keep_weights=keep_weights, engine=engine,
+        matcher=matcher, keep_weights=keep_weights,
     )
 
 
-def _evaluate_supernet_task(problem, arch_seq, seed, backend, descriptor,
-                            engine="eager"):
+def _evaluate_supernet_task(problem, arch_seq, seed, backend, descriptor):
     """The zero-copy counterpart of :func:`_evaluate_task`: instead of a
     weight payload the worker receives a tiny
     :class:`~repro.transfer.SliceDescriptor` and resolves it by binding
@@ -141,7 +140,7 @@ def _evaluate_supernet_task(problem, arch_seq, seed, backend, descriptor,
         descriptor.provider_arch_seq
     return estimate_candidate(
         problem, arch_seq, seed=seed, supernet=backend,
-        provider_seq=provider_seq, keep_weights=True, engine=engine,
+        provider_seq=provider_seq, keep_weights=True,
     )
 
 
@@ -209,20 +208,15 @@ class SearchDriver:
                  transport=None, retry: Optional[RetryPolicy] = None,
                  task_timeout: Optional[float] = None,
                  journal=None, resume=None,
-                 engine: str = "eager",
                  key_prefix: str = "",
                  on_dispatch: Optional[Callable[[int], None]] = None,
                  on_record: Optional[Callable[[TraceRecord], None]] = None):
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}, expected {SCHEMES}")
-        if engine not in ("eager", "plan"):
-            raise ValueError(f"unknown engine {engine!r}, expected "
-                             f"'eager' or 'plan'")
         self.problem = problem
         self.strategy = strategy
         self.num_candidates = int(num_candidates)
         self.scheme = scheme
-        self.engine = engine
         self.store = store
         self.seed = seed
         self.task_timeout = task_timeout
@@ -444,7 +438,6 @@ class SearchDriver:
             task = functools.partial(
                 _evaluate_supernet_task, self.problem, record.arch_seq,
                 self.seed + candidate_id, self.backend, descriptor,
-                self.engine,
             )
             return _Pending(record, task)
         provider_ref = None
@@ -467,7 +460,6 @@ class SearchDriver:
             _evaluate_task, self.problem, record.arch_seq,
             self.seed + candidate_id, provider_ref,
             self.scheme if self.transfers else "lcs", self.transfers,
-            self.engine,
         )
         return _Pending(record, task)
 
@@ -756,13 +748,6 @@ class SearchDriver:
                 or "store" in fault_dict):
             self.trace.fault_stats = fault_dict
 
-        if self.engine == "plan":
-            from ..tensor.engine import get_plan_cache
-            engine_stats: dict = {"engine": self.engine}
-            if not _uses_process_pool(self.evaluator):
-                engine_stats.update(get_plan_cache().stats())
-            self.trace.engine_stats = engine_stats
-
         gate = getattr(self.strategy, "gate", None)
         if gate is not None:
             self.trace.static_stats = gate.stats.as_dict()
@@ -840,14 +825,14 @@ def run_search(problem, strategy, num_candidates: int, *,
     ``resume`` replays a :class:`TraceJournal` written by ``journal=``
     (passing only ``resume=`` keeps journaling to the same path).
 
-    ``engine`` selects the training-step executor for every evaluation:
-    ``"eager"`` (the default interpreter) or ``"plan"`` — compiled
-    :class:`repro.tensor.engine.StepPlan` schedules checked out of the
-    per-process :class:`~repro.tensor.engine.PlanCache`, bit-identical
-    scores and traces, substantially faster steps.  Plan-cache counters
-    land in ``trace.engine_stats`` (for a process pool only the engine
-    name is recorded — worker caches are per-process).
+    ``engine`` is inert: ``"eager"`` and ``"plan"`` both run the one
+    eager training step, anything else raises ``ValueError``.  It stays
+    only until the benchmark's ``fastpath-mnist`` workload stops passing
+    ``engine="plan"``.
     """
+    if engine not in ("eager", "plan"):
+        raise ValueError(f"unknown engine {engine!r}, expected "
+                         f"'eager' or 'plan'")
     driver = SearchDriver(
         problem, strategy, num_candidates, scheme=scheme, store=store,
         evaluator=evaluator, provider_policy=provider_policy, seed=seed,
@@ -855,7 +840,6 @@ def run_search(problem, strategy, num_candidates: int, *,
         transfer_backend=transfer_backend, cache=cache, prefetch=prefetch,
         async_io=async_io, transport=transport, retry=retry,
         task_timeout=task_timeout, journal=journal, resume=resume,
-        engine=engine,
     )
     try:
         while not driver.done:

@@ -22,8 +22,7 @@ virtual cluster alone knows:
   each checkpoint load and save costs modelled seconds derived from the
   real checkpoint byte sizes (``async_io=True`` blocks only on the
   snapshot memcpy and books the disk write as hidden I/O), a cache hit
-  or supernet bind a small fixed cost; a compiled plan costs
-  ``plan_trace_seconds`` once per fresh structural signature.
+  or supernet bind a small fixed cost.
 
 Fault model (DESIGN.md "Fault tolerance"): ``run(faults=FaultModel(...))``
 injects the cluster pathologies the paper's 32-GPU campaigns live with,
@@ -94,10 +93,6 @@ class CostModel:
     #: payload — this replaces *both* load_seconds and save_seconds on
     #: the zero-copy path, which is the entire speedup claim
     slice_seconds: float = 1e-4
-    #: compiling one StepPlan (engine="plan"): charged once per *fresh*
-    #: structural signature — candidates that re-use a cached plan pay
-    #: nothing, mirroring the real PlanCache
-    plan_trace_seconds: float = 2.0
 
     def train_seconds(self, num_params: int, speed: float = 1.0) -> float:
         return (self.base_seconds + self.seconds_per_param * num_params) / speed
@@ -157,8 +152,7 @@ class SimulatedCluster:
             cache=None, async_io: bool = False,
             static_gate=None, zero_cost=None,
             faults: Optional[FaultModel] = None,
-            retry: Optional[RetryPolicy] = None,
-            engine: str = "eager") -> Trace:
+            retry: Optional[RetryPolicy] = None) -> Trace:
         cost = self.cost
         driver = _SimDriver(
             cost, async_io, self.problem, strategy, num_candidates,
@@ -169,14 +163,12 @@ class SimulatedCluster:
             transfer_backend=transfer_backend, cache=cache,
             retry=retry or RetryPolicy(max_attempts=3, base_delay=1.0,
                                        jitter=0.0),
-            engine=engine,
         )
         gate = getattr(strategy, "gate", None)
         # dedicated stream: the fault schedule never perturbs provider
         # selection, so faults=None and faults=FaultModel() (all-zero
         # rates) produce bit-identical traces
         fault_rng = np.random.default_rng((seed, 0xFA17))
-        plan_sigs: set = set()     # structural signatures already traced
         # (free_time, gpu_index) — earliest-free GPU gets the next task
         gpus = [(0.0, g) for g in range(self.num_gpus)]
         heapq.heapify(gpus)
@@ -209,13 +201,6 @@ class SimulatedCluster:
 
             # real training, virtual time
             result = pend.task()
-            plan_overhead = 0.0
-            if engine == "plan" and result.ok:
-                sig = self._plan_signature(record.arch_seq,
-                                           seed + candidate_id)
-                if sig is not None and sig not in plan_sigs:
-                    plan_sigs.add(sig)
-                    plan_overhead = cost.plan_trace_seconds
             duration = cost.train_seconds(result.num_params,
                                           self.gpu_speeds[gpu])
             extra_seconds, crashed = self._inject(
@@ -240,8 +225,7 @@ class SimulatedCluster:
             # hidden I/O is, by definition, off the critical path: only
             # the blocked seconds extend the candidate's GPU occupancy
             record.end_time = (record.start_time + duration
-                               + plan_overhead + extra_seconds
-                               + record.io_blocked)
+                               + extra_seconds + record.io_blocked)
             heapq.heappush(completions,
                            (record.end_time, candidate_id, record))
             heapq.heappush(gpus, (record.end_time, gpu))
@@ -252,31 +236,12 @@ class SimulatedCluster:
             trace.io_stats = {**(trace.io_stats or {}), "async_io": True}
         if faults is not None:
             trace.fault_stats = driver.fault_stats.as_dict()
-        if engine == "plan":
-            stats = dict(trace.engine_stats)
-            trace.engine_stats = {
-                "engine": stats.pop("engine"),
-                "plans_traced_virtual": len(plan_sigs),
-                "plan_trace_virtual_seconds":
-                    len(plan_sigs) * cost.plan_trace_seconds,
-                **stats,
-            }
         if gate is not None:
             # virtual proxy cost actually charged to the dispatcher
             # (wall-clock proxy_seconds in the stats is the real compute)
             trace.static_stats["proxy_virtual_seconds"] = \
                 gate.stats.proxy_scored * cost.proxy_seconds
         return trace
-
-    def _plan_signature(self, arch_seq, seed):
-        """Structural signature of a candidate's compiled plan: tracing
-        is paid once per fresh signature, like the real PlanCache."""
-        from ..tensor.engine import network_signature
-        try:
-            return network_signature(
-                self.problem.build_model(arch_seq, rng=seed))
-        except Exception:
-            return None
 
     @staticmethod
     def _inject(faults, fault_rng, driver, record, duration):

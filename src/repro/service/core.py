@@ -128,7 +128,6 @@ class SessionSpec:
     task_timeout: Optional[float] = None
     cache: object = None
     prefetch: bool = False
-    engine: str = "eager"
     #: per-session chaos: kwargs for ChaosEvaluator (crash_prob /
     #: hang_prob / corrupt_prob / hang_seconds / seed) — faults drawn
     #: from this session's own rng, invisible to every other session
@@ -327,7 +326,7 @@ class SearchService:
             provider_policy=spec.provider_policy, seed=spec.seed,
             name=f"{session_id}-{spec.scheme}",
             retry=spec.retry, task_timeout=spec.task_timeout,
-            cache=spec.cache, prefetch=spec.prefetch, engine=spec.engine,
+            cache=spec.cache, prefetch=spec.prefetch,
             journal=journal, resume=resume,
             key_prefix=f"{session_id}--",
             on_dispatch=on_dispatch, on_record=on_record,

@@ -12,12 +12,6 @@ automatically visible to shape/dtype inference.
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import (
-    PlanCache,
-    PlanUnsupportedError,
-    StepPlan,
-    get_plan_cache,
-)
 from .layers import (
     Activation,
     AvgPool1D,
@@ -105,7 +99,6 @@ __all__ = [
     "Adam", "SGD", "RMSProp", "Optimizer", "get_optimizer",
     "get_loss", "get_metric",
     "EarlyStopping", "History", "evaluate", "fit", "predict_batched",
-    "PlanCache", "PlanUnsupportedError", "StepPlan", "get_plan_cache",
     "StepDecay", "ExponentialDecay", "CosineDecay",
     "save_bundle", "load_bundle",
     "OpMeta", "OP_METADATA", "op_metadata",

@@ -122,8 +122,16 @@ def conv2d_backward(gout, cache, need_gx=True):
     gb = g2.sum(axis=0)
     if not need_gx:
         return None, gk, gb
-    gcols = (g2 @ kernel.reshape(kh * kw * cin, cout).T).reshape(
-        n, ho, wo, kh, kw, cin)
+    k2t = kernel.reshape(kh * kw * cin, cout).T
+    if cols.flags.writeable and cols.dtype == np.result_type(g2, k2t):
+        # the rebuilt columns are dead once gk is computed: write the
+        # column gradients over them instead of faulting in a second
+        # buffer of the same size (a 1x1 kernel's columns are a
+        # read-only view of xp and take the allocating branch)
+        gcols = np.matmul(g2, k2t, out=cols)
+    else:
+        gcols = g2 @ k2t
+    gcols = gcols.reshape(n, ho, wo, kh, kw, cin)
     gxp = np.zeros(xp.shape, dtype=gout.dtype)
     for i in range(kh):
         for j in range(kw):

@@ -12,10 +12,9 @@ substrate the shape-sequence/transfer machinery and the checkpoint store
 operate on.
 
 Backward-pass liveness (:class:`Liveness`) is computed once per built
-network and serves both engines: eager :meth:`Network.backward` and the
-compiled :class:`~repro.tensor.engine.StepPlan`.  A layer runs backward
-only when it or something upstream holds trainable parameters, and
-computes an input gradient only for a parent that runs backward — so
+network and consulted by every :meth:`Network.backward`.  A layer runs
+backward only when it or something upstream holds trainable parameters,
+and computes an input gradient only for a parent that runs backward — so
 the first conv of a chain skips its column-gradient GEMM and scatter.
 Input gradients w.r.t. the network inputs are never computed.
 """

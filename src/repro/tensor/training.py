@@ -98,63 +98,36 @@ def fit(network, x_train, y_train, *, x_val=None, y_val=None,
         epochs: int = 1, batch_size: int = 32, loss="categorical_crossentropy",
         metric="accuracy", optimizer="adam", learning_rate: float = 1e-3,
         clipnorm=None, schedule=None, early_stopping: EarlyStopping | None = None,
-        rng=0, engine: str = "eager", plan_cache=None) -> History:
+        rng=0) -> History:
     """Train ``network`` in place; returns a History with per-epoch
     training loss and validation score.
 
     ``x_train`` may be a single array or a list of arrays (multi-input).
     When ``early_stopping`` is given, training stops at the rule's epoch.
-
-    ``engine="plan"`` runs full-size batches through a compiled
-    :class:`repro.tensor.engine.StepPlan` (bit-identical to eager; the
-    ragged tail batch and any unplannable network fall back to the eager
-    path).  ``plan_cache`` is the :class:`~repro.tensor.engine.PlanCache`
-    to share plans through; defaults to the per-process cache.
     """
-    if engine not in ("eager", "plan"):
-        raise ValueError(f"unknown engine {engine!r}")
     rng = np.random.default_rng(rng) if not isinstance(
         rng, np.random.Generator) else rng
     loss_fn = get_loss(loss)
     opt = get_optimizer(optimizer, learning_rate, clipnorm)
     n = y_train.shape[0]
-    plan = cache = None
-    if engine == "plan" and n >= batch_size:
-        from . import engine as _engine
-        xs = x_train if isinstance(x_train, (list, tuple)) else (x_train,)
-        cache = plan_cache if plan_cache is not None \
-            else _engine.get_plan_cache()
-        try:
-            plan = cache.acquire(network, batch_size,
-                                 [a.dtype for a in xs], y_train.dtype,
-                                 y_train.shape[1:], loss)
-        except _engine.PlanUnsupportedError:
-            plan, cache = None, None
     history = History()
-    try:
-        for epoch in range(epochs):
-            if schedule is not None:
-                opt.learning_rate = float(schedule(epoch))
-            epoch_loss, nb = 0.0, 0
-            for idx in _batches(n, batch_size, rng):
-                if plan is not None and idx.shape[0] == batch_size:
-                    lval = plan.run_step(x_train, y_train, idx)
-                else:
-                    xb, yb = _take(x_train, idx), y_train[idx]
-                    logits = network.forward(xb, training=True)
-                    lval, grad = loss_fn(logits, yb)
-                    network.backward(grad)
-                opt.step(network)
-                epoch_loss += float(lval)
-                nb += 1
-            history.loss.append(epoch_loss / max(nb, 1))
-            if x_val is not None:
-                history.val_score.append(
-                    evaluate(network, x_val, y_val, metric))
-                if early_stopping is not None:
-                    if early_stopping.stop_epoch(history.val_score) is not None:
-                        break
-    finally:
-        if plan is not None:
-            cache.release(plan)
+    for epoch in range(epochs):
+        if schedule is not None:
+            opt.learning_rate = float(schedule(epoch))
+        epoch_loss, nb = 0.0, 0
+        for idx in _batches(n, batch_size, rng):
+            xb, yb = _take(x_train, idx), y_train[idx]
+            logits = network.forward(xb, training=True)
+            lval, grad = loss_fn(logits, yb)
+            network.backward(grad)
+            opt.step(network)
+            epoch_loss += float(lval)
+            nb += 1
+        history.loss.append(epoch_loss / max(nb, 1))
+        if x_val is not None:
+            history.val_score.append(
+                evaluate(network, x_val, y_val, metric))
+            if early_stopping is not None:
+                if early_stopping.stop_epoch(history.val_score) is not None:
+                    break
     return history

@@ -469,7 +469,7 @@ def test_real_tree_declarations_match_inference():
                         if m.declared_guards is not None]
     assert {m.name for m in declared_modules} == {
         "cache", "prefetch", "multilevel", "evaluator", "transport",
-        "supernet", "engine", "sharded", "core"}
+        "supernet", "sharded", "core"}
     for m in declared_modules:
         assert model.module_inferred_guarded(m) == m.declared_guards, m.name
 

@@ -41,6 +41,22 @@ def test_unknown_scheme_rejected(space, problem, tmp_path):
                    store=CheckpointStore(tmp_path))
 
 
+def test_run_search_rejects_unknown_engine(space, problem):
+    with pytest.raises(ValueError, match="engine"):
+        run_search(problem, RandomSearch(space, rng=0), 2,
+                   scheme="baseline", seed=0, engine="jit")
+
+
+def test_run_search_engine_keyword_is_inert(space, problem):
+    # "plan" is still accepted and runs the same eager training step
+    eager = run_search(problem, RandomSearch(space, rng=4), 4,
+                       scheme="baseline", seed=4)
+    plan = run_search(problem, RandomSearch(space, rng=4), 4,
+                      scheme="baseline", seed=4, engine="plan")
+    assert [(r.candidate_id, r.arch_seq, r.score) for r in eager] == \
+        [(r.candidate_id, r.arch_seq, r.score) for r in plan]
+
+
 def test_baseline_does_not_checkpoint(space, problem, tmp_path):
     store = CheckpointStore(tmp_path)
     run_search(problem, RandomSearch(space, rng=0), 4, scheme="baseline",

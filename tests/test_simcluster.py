@@ -112,7 +112,6 @@ PARITY_CASES = [
     pytest.param("mnist", "baseline", {}, id="mnist-baseline"),
     pytest.param("mnist", "lcs", {"transfer_backend": "supernet"},
                  id="mnist-lcs-supernet"),
-    pytest.param("mnist", "lcs", {"engine": "plan"}, id="mnist-lcs-plan"),
     pytest.param("cifar10", "lcs", {"zero_cost": "gradnorm"},
                  id="cifar10-lcs-gradnorm"),
     pytest.param("mnist", "lcs", {"cache": True}, id="mnist-lcs-cache"),
@@ -150,7 +149,6 @@ class _NeverAsked(RegularizedEvolution):
 
 @pytest.mark.parametrize("knob,message", [
     ({"scheme": "lsc"}, "unknown scheme 'lsc', expected"),
-    ({"scheme": "lcs", "engine": "jit"}, "unknown engine 'jit'"),
 ])
 def test_simulator_validates_like_run_search_before_training(
         problem, tmp_path, knob, message):
