@@ -172,6 +172,12 @@ def _maxpool2d(mod, dtype):
                    x.astype(dtype), 2)
 
 
+def _avgpool2d(mod, dtype):
+    x = np.random.default_rng(SEED).normal(size=(32, 12, 12, 32))
+    return _fwdbwd(mod.avgpool2d_forward, mod.avgpool2d_backward,
+                   x.astype(dtype), 2)
+
+
 def _maxpool1d(mod, dtype):
     x = np.random.default_rng(SEED).normal(size=(32, 256, 8))
     return _fwdbwd(mod.maxpool1d_forward, mod.maxpool1d_backward,
@@ -198,6 +204,7 @@ KERNELS = {
     "conv1d_fwdbwd": _conv1d,
     "dense_fwdbwd": _dense,
     "maxpool2d_fwdbwd": _maxpool2d,
+    "avgpool2d_fwdbwd": _avgpool2d,
     "maxpool1d_fwdbwd": _maxpool1d,
     "batchnorm_fwdbwd": _batchnorm,
 }

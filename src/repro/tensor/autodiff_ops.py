@@ -18,18 +18,36 @@ Performance contract (see DESIGN.md "Kernel layout & performance"):
   in the backward pass, never kept alive between passes;
 - every op preserves the input floating dtype (float32 in -> float32
   out); nothing silently promotes to float64;
-- max-pool caches flat argmax indices (1 byte/output element), not a
-  boolean window mask (p^2 bytes/output element);
+- conv2d backward scatters the column gradients (col2im) by row runs
+  straight into the unpadded input gradient: kh*Wo additions of
+  contiguous runs up to kw*Cin long, instead of kh*kw additions of
+  Cin-long runs into a padded buffer.  Every input element still sums
+  its taps in (i, j) order from +0.0, so the result is bitwise the
+  per-tap scatter's;
+- conv backward writes the column gradients over a column buffer it
+  made itself (conv2d's rebuilt columns, conv1d's 2-D copy of the
+  cached columns), never over anything in the cache: backward may run
+  more than once after one forward (``NTKTraceScorer``'s probes);
+- max-pool takes a running max over the p^2 strided window views (no
+  transposed copy, no ``argmax``) and caches the window index of each
+  output (1 byte/output element, not a p^2-byte boolean mask): the
+  first window element equal to the max, or the first NaN, as
+  ``np.argmax`` picks.  The output value and the backward routing move
+  bit patterns, so signed zeros and NaN payloads come through as the
+  ``argmax``/``take_along_axis`` kernels gave them;
 - dense and conv backward kernels take ``need_gx``: when the caller's
   liveness pass (``repro.tensor.network.Liveness``) says the input
   gradient is dead they return ``None`` for it and skip its GEMM,
-  buffer and (for convs) the k^2 scatter;
+  buffer and (for convs) the col2im scatter;
 - "same" padding is one ``np.zeros`` plus a slice assignment, not
   ``np.pad`` (whose per-call Python overhead showed up in profiles).
 
 The pre-optimization implementations are frozen in ``reference_ops`` and
 the two are compared op-by-op in ``tests/test_kernel_equivalence.py`` and
-timed against each other in ``benchmarks/test_perf_gates.py``.
+timed against each other in ``benchmarks/test_perf_gates.py``.  The
+kernels the row-run col2im and the argmax-free max-pool replaced are
+frozen in ``tests/test_kernel_bitwise.py``, which compares them bit for
+bit on generated shapes and values.
 """
 
 from __future__ import annotations
@@ -132,15 +150,27 @@ def conv2d_backward(gout, cache, need_gx=True):
     else:
         gcols = g2 @ k2t
     gcols = gcols.reshape(n, ho, wo, kh, kw, cin)
-    gxp = np.zeros(xp.shape, dtype=gout.dtype)
+    # col2im by row runs, straight into the unpadded gradient: for tap
+    # row i and output column x, taps j0:j1 land on the input columns
+    # x+j0-pw:x+j1-pw, so both operands are one contiguous run of
+    # (j1-j0)*cin values (a per-tap loop moves runs of only cin).  The
+    # clipped ranges skip contributions that land in the padding.  For a
+    # fixed i, a descending x is an ascending j at every input element,
+    # so each element still sums its taps in (i, j) order from +0.0 and
+    # the result is bitwise the per-tap scatter's.  (Only which payload
+    # survives where two different NaNs meet can differ: NumPy's add
+    # loop picks it, not the order.)
+    h, w = x_shape[1], x_shape[2]
+    gx = np.zeros((n, h, w, cin), dtype=gout.dtype)
     for i in range(kh):
-        for j in range(kw):
-            gxp[:, i:i + ho, j:j + wo, :] += gcols[:, :, :, i, j, :]
-    if ph or pw:
-        h, w = x_shape[1], x_shape[2]
-        gx = gxp[:, ph:ph + h, pw:pw + w, :]
-    else:
-        gx = gxp
+        y0, y1 = max(ph - i, 0), min(h + ph - i, ho)
+        if y0 >= y1:
+            continue
+        rows = gx[:, y0 + i - ph:y1 + i - ph]
+        g_i = gcols[:, y0:y1, :, i]
+        for x in reversed(range(wo)):
+            j0, j1 = max(pw - x, 0), min(w + pw - x, kw)
+            rows[:, :, x + j0 - pw:x + j1 - pw] += g_i[:, :, x, j0:j1]
     return gx, gk, gb
 
 
@@ -169,17 +199,19 @@ def conv1d_forward(x, kernel, bias, padding="same"):
     Native column kernel.  The old implementation routed through the
     2-D conv with singleton axes, which re-derived the patch matrix in
     backward and lost to the legacy kernel on same-dtype inputs
-    (0.904x the legacy speed; CHANGES.md keeps the kernel numbers).  Here one patch-matrix
-    copy feeds a single GEMM and, unlike conv2d, the cache keeps the
-    column matrix: at only k x the input it is cheap in 1-D and saves
-    the backward rebuild entirely.
+    (0.904x the legacy speed; CHANGES.md keeps the kernel numbers).  Here
+    one patch matrix feeds a single GEMM and the cache keeps it.  For a
+    C-contiguous padded input the windows' (k, Cin) block is contiguous,
+    so the 3-D reshape needs no copy: the cached "columns" are a
+    read-only strided view of ``xp``, and backward's 2-D reshape of them
+    makes the copy.
     """
     k, cin, cout = kernel.shape
     p = (k - 1) // 2 if padding == "same" else 0
     xp = _pad1d(x, p)
     n, lp, _ = xp.shape
     lo = lp - k + 1
-    cols = patch_view4d(xp, k).reshape(n, lo, k * cin)  # one copy
+    cols = patch_view4d(xp, k).reshape(n, lo, k * cin)
     out = cols @ kernel.reshape(k * cin, cout)
     out += bias
     return out, (cols, kernel, p, x.shape, xp.shape)
@@ -195,7 +227,18 @@ def conv1d_backward(gout, cache, need_gx=True):
     gb = g2.sum(axis=0)
     if not need_gx:
         return None, gk, gb
-    gcols = (g2 @ kernel.reshape(k * cin, cout).T).reshape(n, lo, k, cin)
+    k2t = kernel.reshape(k * cin, cout).T
+    if not np.may_share_memory(c2, cols) and \
+            c2.dtype == np.result_type(g2, k2t):
+        # c2 is this call's own copy of the columns, dead once gk is
+        # computed: write the column gradients over it.  When c2 is a
+        # view of the cached columns (N == 1, or a cache that holds a
+        # copy) it must stay intact, since NTKTraceScorer runs backward
+        # once per probe after a single forward.
+        gcols = np.matmul(g2, k2t, out=c2)
+    else:
+        gcols = g2 @ k2t
+    gcols = gcols.reshape(n, lo, k, cin)
     gxp = np.zeros(xp_shape, dtype=gout.dtype)
     for i in range(k):
         gxp[:, i:i + lo, :] += gcols[:, :, i, :]
@@ -215,29 +258,72 @@ def _pool2d_view(x, p):
     return xv, ho, wo
 
 
+def _bits(a):
+    """Same-width unsigned-integer view of a float array.  Selecting and
+    routing values through it moves bit patterns, so NaN payloads and
+    signed zeros pass unchanged (a float multiply by 0/1 would not)."""
+    return a.view(f"u{a.itemsize}")
+
+
+def _windows2d(a, p, ho, wo):
+    """The p^2 strided views of ``a`` holding each pooling window's
+    element (i, j), in window order i*p + j."""
+    return [a[:, i:ho * p:p, j:wo * p:p, :]
+            for i in range(p) for j in range(p)]
+
+
+def _windows1d(a, p, lo):
+    return [a[:, i:lo * p:p, :] for i in range(p)]
+
+
+def _window_max(views):
+    """Max over same-shape window views with ``np.argmax``'s ties: the
+    cached index is the first window element equal to the max, or the
+    first NaN.  The value is picked by that index rather than taken
+    from the running max, whose SIMD ``maximum`` may return either
+    operand of a +0.0/-0.0 tie."""
+    m = views[0].copy()
+    for v in views[1:]:
+        np.maximum(m, v, out=m)
+    pp = len(views)
+    idt = np.uint8 if pp <= 0xFF else np.intp
+    # a hit at k scores pp - k; the highest score is the first hit
+    best = np.zeros(m.shape, dtype=idt)
+    for k, v in enumerate(views):
+        hit = v == m
+        hit |= np.isnan(v)  # a NaN max equals nothing; NaNs match it
+        np.maximum(best, np.multiply(hit, idt(pp - k)), out=best)
+    idx = np.subtract(idt(pp), best, out=best)
+    out = np.zeros_like(m)
+    ob = _bits(out)
+    for k, v in enumerate(views):
+        ob |= _bits(v) * (idx == k)
+    return out, idx
+
+
+def _route_back(gout, idx, gx_views):
+    """Write ``gout`` into the window element each output came from;
+    the other window elements keep gx's +0.0."""
+    gb = _bits(gout)
+    for k, view in enumerate(gx_views):
+        np.multiply(gb, idx == k, out=_bits(view))
+
+
 def maxpool2d_forward(x, p):
-    """Cache flat argmax indices (uint8, one per output element) instead
-    of a p^2-per-output boolean mask; argmax breaks ties toward the first
-    window element, so gradients are never duplicated."""
-    n, h, w, c = x.shape
-    ho, wo = h // p, w // p
-    xw = x[:, :ho * p, :wo * p, :].reshape(n, ho, p, wo, p, c) \
-        .transpose(0, 1, 3, 5, 2, 4).reshape(n, ho, wo, c, p * p)
-    idx = xw.argmax(axis=-1)
-    out = np.take_along_axis(xw, idx[..., None], axis=-1)[..., 0]
-    if p * p <= 0xFF:
-        idx = idx.astype(np.uint8)
+    """Running max over the p^2 strided window views (no transposed copy
+    of the input).  Caches the window index as uint8, one per output
+    element, instead of a p^2-per-output boolean mask; ties break toward
+    the first window element, so gradients are never duplicated."""
+    ho, wo = x.shape[1] // p, x.shape[2] // p
+    out, idx = _window_max(_windows2d(x, p, ho, wo))
     return out, (idx, x.shape, p)
 
 
 def maxpool2d_backward(gout, cache):
     idx, x_shape, p = cache
-    n, ho, wo, c = gout.shape
-    gw = np.zeros((n, ho, wo, c, p * p), dtype=gout.dtype)
-    np.put_along_axis(gw, idx[..., None], gout[..., None], axis=-1)
+    _, ho, wo, _ = gout.shape
     gx = np.zeros(x_shape, dtype=gout.dtype)
-    gx[:, :ho * p, :wo * p, :] = gw.reshape(n, ho, wo, c, p, p) \
-        .transpose(0, 1, 4, 2, 5, 3).reshape(n, ho * p, wo * p, c)
+    _route_back(gout, idx, _windows2d(gx, p, ho, wo))
     return gx
 
 
@@ -251,8 +337,9 @@ def avgpool2d_backward(gout, cache):
     x_shape, p, ho, wo = cache
     n, _, _, c = x_shape
     gx = np.zeros(x_shape, dtype=gout.dtype)
-    g = np.repeat(np.repeat(gout, p, axis=1), p, axis=2) / (p * p)
-    gx[:, :ho * p, :wo * p, :] = g
+    # one divide, broadcast over each window of a 6-D view of gx
+    gx6 = gx[:, :ho * p, :wo * p, :].reshape(n, ho, p, wo, p, c)
+    gx6[...] = (gout / (p * p))[:, :, None, :, None, :]
     return gx
 
 
@@ -264,21 +351,15 @@ def _pool1d_view(x, p):
 
 
 def maxpool1d_forward(x, p):
-    xv, lo = _pool1d_view(x, p)            # (N, Lo, p, C)
-    idx = xv.argmax(axis=2)                # first-max tie-breaking
-    out = np.take_along_axis(xv, idx[:, :, None, :], axis=2)[:, :, 0, :]
-    if p <= 0xFF:
-        idx = idx.astype(np.uint8)
+    lo = x.shape[1] // p
+    out, idx = _window_max(_windows1d(x, p, lo))
     return out, (idx, x.shape, p)
 
 
 def maxpool1d_backward(gout, cache):
     idx, x_shape, p = cache
-    n, lo, c = gout.shape
-    gv = np.zeros((n, lo, p, c), dtype=gout.dtype)
-    np.put_along_axis(gv, idx[:, :, None, :], gout[:, :, None, :], axis=2)
     gx = np.zeros(x_shape, dtype=gout.dtype)
-    gx[:, :lo * p, :] = gv.reshape(n, lo * p, c)
+    _route_back(gout, idx, _windows1d(gx, p, gout.shape[1]))
     return gx
 
 
