@@ -29,11 +29,11 @@ concurrency structure of the whole program from the stdlib AST:
   or inferred guarded-and-written but missing from the declaration,
   is a finding.  The tuple can never silently rot again.
 - **Lock-order graph** (R008): nodes are class-qualified lock names
-  (``"WeightCache._lock"``); an edge ``A -> B`` is added when code
+  (``"SuperNet._lock"``); an edge ``A -> B`` is added when code
   holding ``A`` acquires ``B`` — by lexical nesting or through resolved
-  call-graph edges (e.g. the prefetcher consulting the cache under its
-  own lock).  Any cycle — including a non-reentrant self-cycle — is a
-  potential deadlock, reported as R008.  The graph is also checked
+  call-graph edges (a method that, under its own lock, calls another
+  object's locked method).  Any cycle — including a non-reentrant
+  self-cycle — is a potential deadlock, reported as R008.  The graph is also checked
   against the declared :data:`~repro.analysis.lockcheck.LOCK_HIERARCHY`
   ranks and exported as a dot/JSON artifact
   (``python -m repro.analysis.concurrency src/repro --json ... --dot ...``).
@@ -227,7 +227,7 @@ class _Class:
 class _Module:
     program: "ProgramModel"
     path: str
-    name: str                  # module stem, e.g. "cache"
+    name: str                  # module stem, e.g. "sharded"
     tree: ast.Module
     classes: dict = field(default_factory=dict)       # name -> _Class
     functions: dict = field(default_factory=dict)     # name -> _Func

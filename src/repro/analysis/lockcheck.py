@@ -33,7 +33,7 @@ run completes and the test session's teardown fixture (see
 raises because proceeding would deadlock the very test that found it.
 
 Identity note: locks are compared **by name** for ordering (two
-``WeightCache`` instances share the node ``"WeightCache._lock"``), and
+``SuperNet`` instances share the node ``"SuperNet._lock"``), and
 by object identity for re-entry.  Nesting two *instances* of the same
 class's lock is not reported as an inversion — no code path here does
 that, and flagging it would false-positive sharded designs that order
@@ -66,23 +66,17 @@ __all__ = [
 #: with no entry are unranked: ordering against them is checked only via
 #: the observed-edge history.
 #:
-#: Sanctioned nestings today: the prefetcher consulting the weight
-#: cache while deciding what to enqueue (``ProviderPrefetcher._lock``
-#: -> ``WeightCache._lock``), the prefetcher probing a sharded store's
-#: placement index inside :meth:`ProviderPrefetcher.request`
-#: (``ProviderPrefetcher._lock`` -> ``ShardedCheckpointStore._lock``),
-#: and the service bookkeeping above everything
-#: (``SearchService._lock`` is the outermost rank); every other lock is
-#: a leaf.  The static analyzer cross-checks its inferred acquisition
-#: edges against these ranks and R008-flags any violation.
+#: No code path takes one of these locks while holding another: every
+#: lock is a leaf, and the static analyzer's lock-order graph has no
+#: edges.  The ranks order any nesting a change introduces — the
+#: service bookkeeping (``SearchService._lock``) would be outermost —
+#: and the analyzer R008-flags an inferred acquisition edge that runs
+#: against them.
 LOCK_HIERARCHY: dict[str, int] = {
     "SearchService._lock": 5,
-    "ProviderPrefetcher._lock": 10,
     "ShardedCheckpointStore._lock": 15,
     "_PoolEvaluator._lock": 20,
     "SuperNet._lock": 30,
-    "WeightCache._lock": 40,
-    "AsyncCheckpointWriter._lock": 50,
     "_BaseTransport._lock": 60,
     "transport._attach_lock": 70,
 }
@@ -302,7 +296,7 @@ def make_lock(name: str, reentrant: bool = False) -> LockLike:
     instrumentation overhead) unless lock checking is enabled, in which
     case a :class:`SanitizedLock` registered under ``name`` — the
     class-qualified name the static analyzer and :data:`LOCK_HIERARCHY`
-    use, e.g. ``"WeightCache._lock"``.
+    use, e.g. ``"SuperNet._lock"``.
     """
     if enabled():
         return SanitizedLock(name, reentrant=reentrant)

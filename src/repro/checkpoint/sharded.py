@@ -6,8 +6,8 @@ One service-scale store = ``num_shards`` directory shards, each a plain
 hashing — a ring of virtual nodes, so adding a shard remaps only
 ~1/num_shards of the keyspace — and the public API is the
 :class:`CheckpointStore` surface, so every existing consumer
-(scheduler, prefetcher, write-behind writer, simulator) works unchanged
-against a sharded root.
+(scheduler, simulator, service) works unchanged against a sharded
+root.
 
 **Per-shard circuit breaker** (the fault-isolation half): a shard whose
 saves keep failing (disk full, permission flip, NFS partition) trips
@@ -49,9 +49,9 @@ __all__ = [
 ]
 
 #: Lock-discipline assertion (lint R004/R007): the placement index,
-#: breaker transitions and degradation counters are shared between the
-#: scheduler thread, the prefetch reader and the write-behind writer.
-#: Every write must hold ``self._lock``; shard I/O happens outside it.
+#: breaker transitions and degradation counters are shared by every
+#: thread that calls the store.  Every write must hold ``self._lock``;
+#: shard I/O happens outside it.
 _GUARDED_ATTRS = ("_placement", "rerouted_writes", "failed_writes")
 
 

@@ -10,12 +10,9 @@ model.
 Concurrency contract: the store itself is **lock-free** — it owns no
 shared in-memory state, and every save is an atomic ``os.replace`` of a
 fully written temp file, so concurrent readers see either the old or
-the new checkpoint, never a torn one.  Callers that layer mutable state
-on top (:class:`~repro.checkpoint.cache.WeightCache`,
-:class:`~repro.checkpoint.prefetch.ProviderPrefetcher`,
-``AsyncCheckpointWriter``) bring their own locks; the whole-program
-concurrency analyzer (lint R007/R008) verifies those, and finds no lock
-order through this module — store calls are leaves in the lock graph.
+the new checkpoint, never a torn one.  The whole-program concurrency
+analyzer (lint R007/R008) finds no lock order through this module —
+store calls are leaves in the lock graph.
 """
 
 from __future__ import annotations

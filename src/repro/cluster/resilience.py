@@ -261,14 +261,13 @@ class TraceJournal:
                 if i == len(lines) - 1:
                     break                  # torn final line: crash artifact
                 raise
-            d["arch_seq"] = tuple(d["arch_seq"])
-            records.append(TraceRecord(**d))
+            records.append(TraceRecord.from_json(d))
         return header, records
 
     @staticmethod
     def to_trace(path) -> Trace:
         """Load a journal as a :class:`Trace` (e.g. for analysis of a
-        run that never reached its drain barrier)."""
+        run that was killed before it finished)."""
         header, records = TraceJournal.replay(path)
         trace = Trace(name=header.get("name", "trace"),
                       scheme=header.get("scheme", "baseline"))

@@ -20,30 +20,16 @@ evaluator fleet by an outer scheduler (:class:`repro.service
 .SearchService`).  ``run_search`` is the thin drive-to-completion
 wrapper and keeps its historical contract exactly.
 
-Checkpoint I/O fast path (DESIGN.md "Checkpoint I/O pipeline"): by
-default every provider load and candidate save runs synchronously on
-the scheduler thread — that is the paper's measured overhead, and it is
-the largest serial bottleneck of the loop.  Three knobs take it off the
-critical path while keeping traces semantically identical:
-
-- ``cache=True`` (or a byte budget / :class:`WeightCache`) — an
-  in-memory LRU over provider weights; hits skip disk entirely.
-- ``prefetch=True`` — a background reader speculatively loads the
-  strategy's likely providers (its current population) into the cache
-  while workers train.
-- ``async_io=True`` (or an :class:`AsyncCheckpointWriter`) — candidate
-  saves become write-behind; a drain barrier before the trace is
-  finalized guarantees every checkpoint is durable and back-fills
-  ``ckpt_bytes``.
-- ``transport`` — zero-copy provider shipping for process pools via
-  shared memory (auto-enabled for :class:`ProcessPoolEvaluator`).
-
-I/O accounting stays honest: ``record.overhead`` remains the *total*
-checkpoint I/O seconds (so Fig. 11 and the simulator calibration are
-unchanged), split into ``record.io_blocked`` (actually stalled the
-ask→submit→tell loop) and ``record.io_hidden`` (absorbed by the
-prefetch reader or the write-behind writer).  Synchronous runs have
-``io_hidden == 0`` and ``io_blocked == overhead``.
+Checkpoint I/O (DESIGN.md "Checkpoint I/O pipeline"): every provider
+load and candidate save runs synchronously on the scheduler thread —
+that is the paper's measured overhead.  A candidate's checkpoint is
+durable before its record is journaled, so a resumed run always finds
+the checkpoints of the records it replays.  ``transport`` only changes
+how a loaded provider reaches a process-pool worker: zero-copy via
+shared memory or an mmapped file (auto-enabled for
+:class:`ProcessPoolEvaluator`).  ``record.overhead`` and
+``record.io_blocked`` both carry the checkpoint I/O seconds the loop
+spent on a candidate.
 
 Fault tolerance (DESIGN.md "Fault tolerance"): worker exceptions never
 crash the loop.  An evaluator hands back a
@@ -61,7 +47,7 @@ completed record durably to a jsonl :class:`TraceJournal` as it lands,
 and ``resume=`` replays such a journal — restoring strategy state via
 :meth:`Strategy.restore` — so a killed run continues from its last
 durable candidate with already-completed records bit-identical.  All
-fault counters serialize into ``trace.fault_stats``.  A sync candidate
+fault counters serialize into ``trace.fault_stats``.  A candidate
 save that raises (e.g. every shard of a
 :class:`~repro.checkpoint.ShardedCheckpointStore` tripped its circuit
 breaker) is booked as a ``ckpt_write`` fault and the search continues —
@@ -78,12 +64,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..checkpoint import (
-    AsyncCheckpointWriter,
-    CorruptCheckpointError,
-    ProviderPrefetcher,
-    make_cache,
-)
+from ..checkpoint import CorruptCheckpointError
 from ..nas.estimation import FAILURE_SCORE, estimate_candidate
 from ..transfer.policy import get_policy
 from ..transfer.supernet import SuperNet, SupernetTransferBackend
@@ -185,7 +166,7 @@ class SearchDriver:
       evaluator back by ticket, and uses :attr:`on_dispatch` to learn
       about retry resubmissions.  ``complete`` ignores tickets it does
       not own, so routing mistakes are inert.
-    - :meth:`finalize` — drain barrier + stats attachment; returns the
+    - :meth:`finalize` — stats attachment; returns the
       :class:`Trace`.  Callable mid-run (a drained/cancelled session's
       partial trace) and idempotent.
 
@@ -204,7 +185,6 @@ class SearchDriver:
                  static_gate=None, zero_cost=None,
                  name: Optional[str] = None,
                  transfer_backend="checkpoint",
-                 cache=None, prefetch: bool = False, async_io=False,
                  transport=None, retry: Optional[RetryPolicy] = None,
                  task_timeout: Optional[float] = None,
                  journal=None, resume=None,
@@ -253,24 +233,9 @@ class SearchDriver:
                 "write their updates back — use SerialEvaluator or "
                 "ThreadPoolEvaluator")
 
-        # -- I/O fast-path plumbing (all inert for the default sync run;
-        # the supernet backend performs no checkpoint I/O at all, so the
-        # prefetcher / write-behind writer / transport stay off and a
-        # cache is only created when the caller explicitly passes one) --
+        # -- provider transport (the supernet backend performs no
+        # checkpoint I/O at all, so it never gets one) --
         uses_store = self.transfers and self.backend is None
-        self.weight_cache = make_cache(cache, prefetch and uses_store) \
-            if self.transfers else None
-        self.writer = None
-        self._owns_writer = False
-        if uses_store and async_io:
-            if isinstance(async_io, AsyncCheckpointWriter):
-                self.writer = async_io
-            else:
-                self.writer = AsyncCheckpointWriter(store)
-                self._owns_writer = True
-        self.prefetcher = None
-        if uses_store and prefetch:
-            self.prefetcher = ProviderPrefetcher(store, self.weight_cache)
         if transport is None:
             transport = "auto" if (uses_store and
                                    isinstance(self.evaluator,
@@ -280,7 +245,8 @@ class SearchDriver:
             else None
         self._owns_transport = (self.transport_obj is not None
                                 and self.transport_obj is not transport)
-        self._saved_keys: set[str] = set()   # saved this run (disk/queued)
+        # saved this run: a load of one of these skips the exists() probe
+        self._saved_keys: set[str] = set()
         self._arch_by_id: dict[int, tuple] = {}   # ok candidates
         self._xfer_copied_bytes = 0
         self._xfer_resliced = 0
@@ -353,27 +319,15 @@ class SearchDriver:
 
     # -- provider plumbing ----------------------------------------------
     def _load_provider(self, key: str, record: TraceRecord):
-        """Provider weights via cache → disk → pending-writer fallback;
-        returns None when the checkpoint does not exist anywhere — or
-        turned out corrupt, in which case it is quarantined and the
-        candidate cold-starts."""
-        store, weight_cache, writer = self.store, self.weight_cache, \
-            self.writer
-        if weight_cache is not None:
-            weights = weight_cache.get(key)
-            if weights is not None:
-                record.cache_hit = True
-                # a prefetched entry carries the background load seconds
-                record.add_io_hidden(weight_cache.take_hidden_seconds(key))
-                return weights
+        """Provider weights from the store; returns None when the
+        checkpoint does not exist — or turned out corrupt, in which case
+        it is quarantined and the candidate cold-starts."""
+        store = self.store
         if key not in self._saved_keys and not store.exists(key):
             return None
         io0 = time.perf_counter()
         weights = failure = None
         try:
-            if writer is not None and not store.exists(key):
-                # enqueued but not yet durable (rare: cache evicted/off)
-                writer.flush()
             weights = store.load(key)
         except (CorruptCheckpointError, FileNotFoundError) as exc:
             failure = exc
@@ -385,11 +339,7 @@ class SearchDriver:
             self.fault_stats.quarantined += 1
             store.quarantine(key)
             self._saved_keys.discard(key)
-            if weight_cache is not None:
-                weight_cache.discard(key)
             return None                    # cold-start fallback
-        if weights is not None and weight_cache is not None:
-            weight_cache.put(key, weights)
         return weights
 
     def _io_seconds(self, kind: str, key: str, measured: float) -> float:
@@ -397,12 +347,6 @@ class SearchDriver:
         blocks the loop.  A real search books the ``measured`` wall-clock
         seconds; the simulator charges its cost model instead."""
         return measured
-
-    def _request_prefetch(self) -> None:
-        if self.prefetcher is None:
-            return
-        candidates = getattr(self.strategy, "provider_candidates", tuple)()
-        self.prefetcher.request(self._key(cid) for cid in candidates)
 
     # -- submit side -----------------------------------------------------
     def submit_next(self) -> None:
@@ -497,7 +441,6 @@ class SearchDriver:
                            record.score)
         self.trace.append(record)
         self.completed += 1
-        self._request_prefetch()
         if self.on_record is not None:
             self.on_record(record)
 
@@ -542,41 +485,28 @@ class SearchDriver:
                 result.transfer_stats, "resliced_params", 0))
 
     def _keep_weights(self, record: TraceRecord, result) -> None:
-        """Checkpoint a successful candidate's weights (the copy path)
-        and cache them write-through, so its children hit in memory."""
-        if not (self.transfers and result.ok and result.weights is not None):
+        """Checkpoint a successful candidate's weights (the copy path;
+        the supernet backend's trained slices already live in the
+        entangled store, so it has nothing to save)."""
+        if not (self.transfers and self.backend is None and result.ok
+                and result.weights is not None):
             return
         key = self._key(record.candidate_id)
-        if self.backend is not None:
-            # nothing to checkpoint — the trained slices already live in
-            # the entangled store.  A caller-supplied cache doubles as a
-            # zero-byte registry of the live views.
-            if self.weight_cache is not None:
-                self.weight_cache.put(key, result.weights, shared=True)
-            return
         meta = {"arch_seq": list(record.arch_seq),
                 "score": record.score, "scheme": self.scheme}
         io0 = time.perf_counter()
-        if self.writer is not None:
-            # write-behind: only the snapshot + enqueue blocks here; the
-            # file write lands in io_hidden at the drain barrier
-            self.writer.save(key, result.weights, meta=meta)
-            self._saved_keys.add(key)
+        try:
+            info = self.store.save(key, result.weights, meta=meta)
+        except Exception:
+            # a full store outage (every shard's breaker open, disk
+            # gone) costs the checkpoint, not the search: children
+            # cold-start instead
+            self.fault_stats.record_fault("ckpt_write")
         else:
-            try:
-                info = self.store.save(key, result.weights, meta=meta)
-            except Exception:
-                # a full store outage (every shard's breaker open, disk
-                # gone) costs the checkpoint, not the search: children
-                # cold-start instead
-                self.fault_stats.record_fault("ckpt_write")
-            else:
-                record.ckpt_bytes = info.nbytes
-                self._saved_keys.add(key)
+            record.ckpt_bytes = info.nbytes
+            self._saved_keys.add(key)
         record.add_io_blocked(self._io_seconds(
             "save", key, time.perf_counter() - io0))
-        if self.weight_cache is not None:
-            self.weight_cache.put(key, result.weights)
 
     def sweep_deadlines(self) -> None:
         """Abandon every overdue in-flight ticket and contain it as a
@@ -647,70 +577,26 @@ class SearchDriver:
 
     # -- teardown --------------------------------------------------------
     def close(self) -> None:
-        """Stop the background helpers (prefetch reader, journal).
-        Idempotent; called by ``run_search``'s finally and by
-        :meth:`finalize`."""
+        """Close the journal.  Idempotent; called by ``run_search``'s
+        finally and by :meth:`finalize`."""
         if self._closed:
             return
         self._closed = True
-        if self.prefetcher is not None:
-            self.prefetcher.close()
         if self._journal is not None:
             self._journal.close()
 
     def finalize(self) -> Trace:
-        """Drain barrier + stats attachment; returns the trace.  Safe to
-        call mid-run (a drained or cancelled session finalizes its
-        partial trace) and idempotent."""
+        """Stats attachment; returns the trace.  Safe to call mid-run (a
+        drained or cancelled session finalizes its partial trace) and
+        idempotent."""
         if self._finalized is not None:
             return self._finalized
         self.close()
 
-        # -- drain barrier: make every write-behind save durable and
-        # book its hidden cost before the trace is finalized -----------
-        io_stats: dict = {}
-        writer = self.writer
-        if writer is not None:
-            try:
-                drain0 = time.perf_counter()
-                try:
-                    writer.flush()    # raise-on-first-error contract …
-                except Exception as exc:
-                    # … but a completed search is worth more than a lost
-                    # checkpoint write: contain it (the full error list
-                    # is surfaced below), don't discard the whole trace
-                    self.fault_stats.record_fault("ckpt_write")
-                    io_stats["drain_error"] = repr(exc)
-                io_stats["drain_seconds"] = time.perf_counter() - drain0
-                infos = writer.results()
-                durations = writer.durations()
-                for record in self.trace.records:
-                    key = self._key(record.candidate_id)
-                    if record.ckpt_bytes == 0 and key in infos:
-                        record.ckpt_bytes = infos[key].nbytes
-                    if key in self._saved_keys and key in durations:
-                        record.add_io_hidden(durations[key])
-            finally:
-                # every captured write failure, not just the first raised
-                errors = writer.error_log()
-                if errors:
-                    io_stats["writer_errors"] = [
-                        f"{key}: {msg}" for key, msg in errors]
-                if self._owns_writer:
-                    try:
-                        writer.close()
-                    except Exception:
-                        pass          # errors already in writer_errors
         if self.transport_obj is not None:
-            io_stats["transport"] = self.transport_obj.stats()
+            self.trace.io_stats = {"transport": self.transport_obj.stats()}
             if self._owns_transport:
                 self.transport_obj.close()
-        if self.weight_cache is not None:
-            io_stats["cache"] = self.weight_cache.stats()
-        if self.prefetcher is not None:
-            io_stats["prefetch"] = self.prefetcher.stats()
-        if io_stats:
-            self.trace.io_stats = io_stats
 
         # -- transfer accounting: which backend moved the training
         # signal and what it cost.  The supernet's whole claim is
@@ -761,7 +647,6 @@ def run_search(problem, strategy, num_candidates: int, *,
                static_gate=None, zero_cost=None,
                name: Optional[str] = None,
                transfer_backend="checkpoint",
-               cache=None, prefetch: bool = False, async_io=False,
                transport=None, retry: Optional[RetryPolicy] = None,
                task_timeout: Optional[float] = None,
                journal=None, resume=None,
@@ -790,11 +675,10 @@ def run_search(problem, strategy, num_candidates: int, *,
     counters (``static_rejected`` / ``proxy_rejected`` /
     ``proxy_seconds``) land in ``trace.static_stats``.
 
-    ``cache`` / ``prefetch`` / ``async_io`` / ``transport`` select the
-    checkpoint I/O fast path (module docstring); all default to the
-    fully synchronous paper configuration.  Fast-path runs produce
-    semantically identical traces (same scores, same transfer stats) —
-    only the ``io_blocked``/``io_hidden`` split changes.
+    ``transport`` selects how a loaded provider reaches a process-pool
+    worker (module docstring); ``None`` picks it from the evaluator
+    type.  Every run produces the same scores and transfer stats
+    whichever transport it uses.
 
     ``transfer_backend`` selects how the provider's training signal
     reaches the candidate.  ``"checkpoint"`` (default) is the paper's
@@ -809,11 +693,8 @@ def run_search(problem, strategy, num_candidates: int, *,
     store across runs.  Supernet runs need an in-process evaluator
     (serial or thread pool — process-pool workers could never write
     their view updates back) and a transfer scheme (``"lp"``/``"lcs"``,
-    which still picks the provider and the match).  The checkpoint I/O
-    knobs (``prefetch`` / ``async_io`` / ``transport``) are inert no-ops
-    under supernet; a user-supplied ``cache`` is only used to publish
-    candidates' live views for inspection (zero byte budget,
-    ``shared=True`` entries).  ``resume=`` replays recorded scores but
+    which still picks the provider and the match).  ``transport`` is
+    inert under supernet.  ``resume=`` replays recorded scores but
     the store itself restarts cold — weights are views, never
     serialized.
 
@@ -837,8 +718,7 @@ def run_search(problem, strategy, num_candidates: int, *,
         problem, strategy, num_candidates, scheme=scheme, store=store,
         evaluator=evaluator, provider_policy=provider_policy, seed=seed,
         static_gate=static_gate, zero_cost=zero_cost, name=name,
-        transfer_backend=transfer_backend, cache=cache, prefetch=prefetch,
-        async_io=async_io, transport=transport, retry=retry,
+        transfer_backend=transfer_backend, transport=transport, retry=retry,
         task_timeout=task_timeout, journal=journal, resume=resume,
     )
     try:

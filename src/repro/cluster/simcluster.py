@@ -7,9 +7,9 @@ the *scores* real (DESIGN.md "Virtual clock, real scores").
 :meth:`SimulatedCluster.run` is an event loop over a
 :class:`~repro.cluster.SearchDriver`.  The driver owns the candidate
 lifecycle exactly as :func:`~repro.cluster.run_search` runs it — ask,
-provider policy, provider load with quarantine, cache, transfer,
-training, checkpoint save, tell — and the simulator keeps only what a
-virtual cluster alone knows:
+provider policy, provider load with quarantine, transfer, training,
+checkpoint save, tell — and the simulator keeps only what a virtual
+cluster alone knows:
 
 * a heap of G GPUs with per-GPU speeds (``gpu_speeds`` models Table
   II's A100/K80 mix) and a serial dispatcher that charges
@@ -20,9 +20,7 @@ virtual cluster alone knows:
 * the time a candidate is charged comes from a per-application
   :class:`CostModel`: training grows affinely with the parameter count;
   each checkpoint load and save costs modelled seconds derived from the
-  real checkpoint byte sizes (``async_io=True`` blocks only on the
-  snapshot memcpy and books the disk write as hidden I/O), a cache hit
-  or supernet bind a small fixed cost.
+  real checkpoint byte sizes, a supernet bind a small fixed cost.
 
 Fault model (DESIGN.md "Fault tolerance"): ``run(faults=FaultModel(...))``
 injects the cluster pathologies the paper's 32-GPU campaigns live with,
@@ -87,8 +85,6 @@ class CostModel:
     ckpt_latency: float = 0.05        # fixed latency per checkpoint I/O
     write_bandwidth: float = 200e6    # bytes/s, candidate -> store
     read_bandwidth: float = 400e6     # bytes/s, store -> candidate
-    cache_hit_seconds: float = 1e-4   # in-memory provider cache hit
-    memcpy_bandwidth: float = 5e9     # bytes/s, write-behind snapshot copy
     #: supernet view re-binding: O(tensor count) slice bookkeeping, no
     #: payload — this replaces *both* load_seconds and save_seconds on
     #: the zero-copy path, which is the entire speedup claim
@@ -103,28 +99,20 @@ class CostModel:
     def load_seconds(self, nbytes: int) -> float:
         return self.ckpt_latency + nbytes / self.read_bandwidth
 
-    def enqueue_seconds(self, nbytes: int) -> float:
-        """Blocking cost of a write-behind save: the in-memory snapshot
-        copy; the disk write itself is hidden behind training."""
-        return nbytes / self.memcpy_bandwidth
-
 
 class _SimDriver(SearchDriver):
     """A :class:`SearchDriver` whose checkpoint I/O costs modelled
     seconds: the simulator trains for real but books virtual time."""
 
-    def __init__(self, cost: CostModel, write_behind: bool, *args, **kw):
+    def __init__(self, cost: CostModel, *args, **kw):
         super().__init__(*args, **kw)
         self.cost = cost
-        self.write_behind = write_behind
 
     def _io_seconds(self, kind, key, measured):
         nbytes = self.store.nbytes(key)
         if kind == "load":
             # paid before corruption is discovered, like a parallel FS
             return self.cost.load_seconds(nbytes)
-        if self.write_behind:
-            return self.cost.enqueue_seconds(nbytes)
         return self.cost.save_seconds(nbytes)
 
 
@@ -149,18 +137,17 @@ class SimulatedCluster:
     def run(self, strategy, num_candidates: int, *,
             scheme: str = "baseline", provider_policy="parent",
             seed: int = 0, transfer_backend="checkpoint",
-            cache=None, async_io: bool = False,
             static_gate=None, zero_cost=None,
             faults: Optional[FaultModel] = None,
             retry: Optional[RetryPolicy] = None) -> Trace:
         cost = self.cost
         driver = _SimDriver(
-            cost, async_io, self.problem, strategy, num_candidates,
+            cost, self.problem, strategy, num_candidates,
             scheme=scheme, store=self.store,
             provider_policy=provider_policy, seed=seed,
             static_gate=static_gate, zero_cost=zero_cost,
             name=f"{self.problem.name}-{scheme}-g{self.num_gpus}",
-            transfer_backend=transfer_backend, cache=cache,
+            transfer_backend=transfer_backend,
             retry=retry or RetryPolicy(max_attempts=3, base_delay=1.0,
                                        jitter=0.0),
         )
@@ -193,9 +180,7 @@ class SimulatedCluster:
                 fresh_scores = gate.stats.proxy_scored - proxied_before
                 dispatcher_free += fresh_scores * cost.proxy_seconds
             record.start_time = dispatcher_free
-            if record.cache_hit:
-                record.add_io_blocked(cost.cache_hit_seconds)
-            elif driver.backend is not None:
+            if driver.backend is not None:
                 # zero-copy: only the slice bookkeeping of the bind
                 record.add_io_blocked(cost.slice_seconds)
 
@@ -221,9 +206,7 @@ class SimulatedCluster:
             else:
                 driver._keep_weights(record, result)
                 if record.ckpt_bytes:
-                    self._after_save(driver, record, faults, fault_rng)
-            # hidden I/O is, by definition, off the critical path: only
-            # the blocked seconds extend the candidate's GPU occupancy
+                    self._maybe_corrupt(driver, record, faults, fault_rng)
             record.end_time = (record.start_time + duration
                                + extra_seconds + record.io_blocked)
             heapq.heappush(completions,
@@ -232,8 +215,6 @@ class SimulatedCluster:
 
         drain(float("inf"))
         trace = driver.finalize()
-        if async_io:
-            trace.io_stats = {**(trace.io_stats or {}), "async_io": True}
         if faults is not None:
             trace.fault_stats = driver.fault_stats.as_dict()
         if gate is not None:
@@ -270,11 +251,9 @@ class SimulatedCluster:
             record.attempts += 1
         return extra_seconds, False
 
-    def _after_save(self, driver, record, faults, fault_rng) -> None:
-        """Book a write-behind save's hidden disk write, then maybe
-        corrupt the checkpoint just written."""
-        if driver.write_behind:
-            record.add_io_hidden(self.cost.save_seconds(record.ckpt_bytes))
+    def _maybe_corrupt(self, driver, record, faults, fault_rng) -> None:
+        """Draw a corrupt-write fault for the checkpoint just written;
+        on a hit, truncate it on disk."""
         if faults is not None and faults.corrupt_prob and \
                 float(fault_rng.uniform()) < faults.corrupt_prob:
             # genuinely truncate the file: a later provider load hits
@@ -284,6 +263,3 @@ class SimulatedCluster:
             path = self.store.path(key)
             blob = path.read_bytes()
             path.write_bytes(blob[:max(1, len(blob) // 3)])
-            if driver.weight_cache is not None:
-                # a corrupt write is never served from memory either
-                driver.weight_cache.discard(key)

@@ -20,6 +20,12 @@ def checkpoint_key(candidate_id: int) -> str:
     return f"cand_{candidate_id:06d}"
 
 
+#: Record keys older traces and journals carry for the removed
+#: background checkpoint I/O (its hidden seconds and cache hits);
+#: :meth:`TraceRecord.from_json` drops them so those files still load.
+RETIRED_KEYS = frozenset({"io_hidden", "cache_hit"})
+
+
 @dataclass
 class TraceRecord:
     candidate_id: int
@@ -31,17 +37,12 @@ class TraceRecord:
     provider_id: Optional[int] = None
     start_time: float = 0.0
     end_time: float = 0.0
-    #: total checkpoint I/O seconds attributed to this candidate —
-    #: always ``io_blocked + io_hidden`` (synchronous runs have
-    #: ``io_hidden == 0``, so ``overhead`` keeps its historical meaning)
+    #: checkpoint I/O seconds attributed to this candidate (Fig. 11
+    #: reads this name)
     overhead: float = 0.0
-    #: I/O seconds that blocked the scheduler's ask→submit→tell loop
+    #: the same seconds, all of which blocked the scheduler's
+    #: ask→submit→tell loop (perfbench reads this name)
     io_blocked: float = 0.0
-    #: I/O seconds spent off the critical path (prefetch reader loads,
-    #: write-behind saves) but still attributable to this candidate
-    io_hidden: float = 0.0
-    #: provider weights came from the in-memory WeightCache, not disk
-    cache_hit: bool = False
     num_params: int = 0
     transferred: bool = False
     transfer_coverage: float = 0.0
@@ -58,16 +59,19 @@ class TraceRecord:
         return self.end_time - self.start_time
 
     def add_io_blocked(self, seconds: float) -> None:
-        """Book I/O seconds that stalled the scheduler critical path
-        (``overhead`` tracks the blocked+hidden total automatically)."""
+        """Book checkpoint I/O seconds that stalled the scheduler."""
         self.io_blocked += seconds
         self.overhead += seconds
 
-    def add_io_hidden(self, seconds: float) -> None:
-        """Book I/O seconds absorbed off the critical path (prefetch
-        reader loads, write-behind saves)."""
-        self.io_hidden += seconds
-        self.overhead += seconds
+    @classmethod
+    def from_json(cls, d: dict) -> "TraceRecord":
+        """A record from one parsed JSONL line, as :meth:`Trace.save_jsonl`
+        and :class:`~repro.cluster.resilience.TraceJournal` write it.
+        Lines from older writers may carry :data:`RETIRED_KEYS`; they
+        are dropped, any other unknown key raises."""
+        d = {k: v for k, v in d.items() if k not in RETIRED_KEYS}
+        d["arch_seq"] = tuple(d["arch_seq"])
+        return cls(**d)
 
 
 @dataclass
@@ -78,9 +82,8 @@ class Trace:
     #: pre-flight gate accounting (checked/admitted/rejected/by_code)
     #: when the search ran with static screening; None otherwise
     static_stats: Optional[dict] = None
-    #: checkpoint I/O fast-path accounting (cache/prefetch/writer/
-    #: transport stats + drain-barrier seconds) when the search ran with
-    #: the cache/async knobs; None otherwise
+    #: provider-transport stats (``{"transport": ...}``) when the
+    #: search shipped providers through a transport; None otherwise
     io_stats: Optional[dict] = None
     #: fault-containment accounting (faults by taxonomy kind, retries,
     #: quarantined checkpoints, pool rebuilds, chaos-injection stats)
@@ -127,12 +130,6 @@ class Trace:
         return float(sum(r.io_blocked for r in self.records))
 
     @property
-    def total_io_hidden(self) -> float:
-        """Checkpoint I/O seconds hidden behind training by the cache,
-        the prefetch reader, or the write-behind writer."""
-        return float(sum(r.io_hidden for r in self.records))
-
-    @property
     def busy_time(self) -> float:
         return float(sum(r.duration for r in self.records))
 
@@ -167,7 +164,5 @@ class Trace:
                         fault_stats=header.get("fault_stats"),
                         transfer_stats=header.get("transfer_stats"))
             for line in fh:
-                d = json.loads(line)
-                d["arch_seq"] = tuple(d["arch_seq"])
-                trace.append(TraceRecord(**d))
+                trace.append(TraceRecord.from_json(json.loads(line)))
         return trace

@@ -74,8 +74,3 @@ class SurrogateSearch(Strategy):
         if is_failure_score(score):
             return
         self._evaluated.append((candidate_id, tuple(arch_seq), float(score)))
-
-    def provider_candidates(self) -> tuple:
-        """The nearest-evaluated provider is usually a recent candidate
-        (the search converges locally), so prefetch the newest window."""
-        return tuple(cid for cid, _, _ in self._evaluated[-16:])

@@ -126,8 +126,6 @@ class SessionSpec:
     provider_policy: object = "parent"
     retry: object = None
     task_timeout: Optional[float] = None
-    cache: object = None
-    prefetch: bool = False
     #: per-session chaos: kwargs for ChaosEvaluator (crash_prob /
     #: hang_prob / corrupt_prob / hang_seconds / seed) — faults drawn
     #: from this session's own rng, invisible to every other session
@@ -326,7 +324,6 @@ class SearchService:
             provider_policy=spec.provider_policy, seed=spec.seed,
             name=f"{session_id}-{spec.scheme}",
             retry=spec.retry, task_timeout=spec.task_timeout,
-            cache=spec.cache, prefetch=spec.prefetch,
             journal=journal, resume=resume,
             key_prefix=f"{session_id}--",
             on_dispatch=on_dispatch, on_record=on_record,
@@ -520,8 +517,8 @@ class SearchService:
                 if pick is None:
                     return
             # driver call outside the service lock: submission touches
-            # the prefetcher/store/evaluator locks (ranks 10+) and
-            # re-enters via on_dispatch
+            # the store/evaluator locks (ranks 15+) and re-enters via
+            # on_dispatch
             try:
                 pick.driver.submit_next()
             except Exception as exc:

@@ -1,15 +1,12 @@
-"""CheckpointStore, AsyncCheckpointWriter."""
+"""CheckpointStore: round trips, atomic saves, CRC checks."""
 
 import os
 import pickle
-import queue
-import threading
-import time
 
 import numpy as np
 import pytest
 
-from repro.checkpoint import AsyncCheckpointWriter, CheckpointStore
+from repro.checkpoint import CheckpointStore
 from repro.checkpoint.codec import MAGIC, decode_views
 from repro.cluster import SearchDriver
 from repro.cluster.trace import TraceRecord
@@ -84,101 +81,6 @@ def test_load_never_needs_pickle(tmp_path, monkeypatch):
     assert all(np.array_equal(loaded[k], w[k]) for k in w)
     assert all(not v.flags.writeable for v in loaded.values())
     assert store.load_meta("k") == {"score": 0.5}
-
-
-def test_async_writer_flushes_to_store(tmp_path):
-    store = CheckpointStore(tmp_path)
-    with AsyncCheckpointWriter(store) as writer:
-        for i in range(5):
-            writer.save(f"m_{i:06d}", weights(i), meta={"i": i})
-        writer.flush()
-        assert len(store) == 5
-    assert store.load_meta("m_000003") == {"i": 3}
-
-
-class FlakyStore(CheckpointStore):
-    """Fails the first ``fail`` saves, then behaves normally."""
-
-    def __init__(self, root, fail=1):
-        super().__init__(root)
-        self.fail = fail
-
-    def save(self, key, weights, meta=None):
-        if self.fail > 0:
-            self.fail -= 1
-            raise OSError(f"disk full while writing {key}")
-        return super().save(key, weights, meta)
-
-
-class SlowStore(CheckpointStore):
-    """Blocks every save on an event — lets tests fill the queue."""
-
-    def __init__(self, root):
-        super().__init__(root)
-        self.gate = threading.Event()
-
-    def save(self, key, weights, meta=None):
-        self.gate.wait(timeout=10.0)
-        return super().save(key, weights, meta)
-
-
-def test_async_writer_raises_first_error_on_flush(tmp_path):
-    store = FlakyStore(tmp_path, fail=1)
-    writer = AsyncCheckpointWriter(store)
-    writer.save("bad", weights(0))
-    writer.save("good", weights(1))
-    with pytest.raises(OSError, match="disk full"):
-        writer.flush()
-    # errors are cleared once raised; healthy writes flush cleanly
-    writer.flush()
-    assert store.exists("good") and not store.exists("bad")
-    writer.close()
-
-
-def test_async_writer_close_raises_but_stops_worker(tmp_path):
-    writer = AsyncCheckpointWriter(FlakyStore(tmp_path, fail=1))
-    writer.save("bad", weights())
-    with pytest.raises(OSError):
-        writer.close()
-    assert not writer._worker.is_alive()
-    writer.close()                               # idempotent after error
-    with pytest.raises(RuntimeError):
-        writer.save("late", weights())
-
-
-def test_async_writer_queue_full_backpressure(tmp_path):
-    store = SlowStore(tmp_path)
-    writer = AsyncCheckpointWriter(store, max_queue=1)
-    writer.save("k0", weights(0))                # picked up by the worker
-    for attempt in range(200):                   # fill the 1-slot queue
-        try:
-            writer.save("k1", weights(1), block=False)
-            break
-        except queue.Full:  # pragma: no cover - depends on thread timing
-            time.sleep(0.005)                    # let the worker take k0
-    with pytest.raises(queue.Full):
-        writer.save("k2", weights(2), block=False)
-    with pytest.raises(queue.Full):
-        writer.save("k3", weights(3), timeout=0.01)
-    assert "k3" not in writer.pending_keys()
-    store.gate.set()                             # release the writer
-    writer.close()
-    assert store.exists("k0") and store.exists("k1")
-
-
-def test_async_writer_snapshots_arrays_and_records_results(tmp_path):
-    store = CheckpointStore(tmp_path)
-    writer = AsyncCheckpointWriter(store)
-    w = weights()
-    writer.save("k", w)
-    w["d.bias"][:] = -1.0                        # mutate after enqueue
-    writer.flush()
-    assert not np.array_equal(store.load("k")["d.bias"], w["d.bias"])
-    infos = writer.results()
-    assert infos["k"].nbytes == store.nbytes("k")
-    assert writer.durations()["k"] > 0.0
-    assert writer.pending_keys() == set()
-    writer.close()
 
 
 # ---------------------------------------------------------------------------
@@ -332,68 +234,3 @@ def test_load_decodes_the_bytes_it_verified(tmp_path, monkeypatch):
     monkeypatch.undo()
     raw, _ = decode_views(path.read_bytes())
     assert np.array_equal(raw["d.kernel"], w_new["d.kernel"])
-
-
-# ---------------------------------------------------------------------------
-# idempotent close (service shutdown races session teardown)
-# ---------------------------------------------------------------------------
-
-def test_async_writer_double_close_is_noop(tmp_path):
-    store = CheckpointStore(tmp_path)
-    writer = AsyncCheckpointWriter(store)
-    writer.save("k", weights())
-    writer.close()
-    writer.close()                           # second close: no-op
-    assert store.exists("k")
-    with pytest.raises(RuntimeError):
-        writer.save("k2", weights())
-
-
-def test_async_writer_concurrent_close_from_two_threads(tmp_path):
-    store = CheckpointStore(tmp_path)
-    writer = AsyncCheckpointWriter(store)
-    for i in range(8):
-        writer.save(f"k{i}", weights(i))
-    errors = []
-
-    def closer():
-        try:
-            writer.close()
-        except Exception as exc:             # pragma: no cover
-            errors.append(exc)
-
-    threads = [threading.Thread(target=closer) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert errors == []
-    # every closer returned only after the worker fully drained
-    assert len(store.keys()) == 8
-    assert not writer._worker.is_alive()
-
-
-def test_prefetcher_double_close_is_noop(tmp_path):
-    from repro.checkpoint import ProviderPrefetcher, WeightCache
-
-    store = CheckpointStore(tmp_path)
-    store.save("k", weights())
-    pf = ProviderPrefetcher(store, WeightCache())
-    pf.request(["k"])
-    pf.close()
-    pf.close()                               # second close: no-op
-    assert not pf._worker.is_alive()
-    pf.request(["k"])                        # post-close requests ignored
-
-
-def test_prefetcher_concurrent_close_from_two_threads(tmp_path):
-    from repro.checkpoint import ProviderPrefetcher, WeightCache
-
-    store = CheckpointStore(tmp_path)
-    pf = ProviderPrefetcher(store, WeightCache())
-    threads = [threading.Thread(target=pf.close) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not pf._worker.is_alive()

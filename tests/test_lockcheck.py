@@ -120,22 +120,22 @@ def test_same_name_instance_pair_not_flagged(reg):
 
 
 def test_declared_hierarchy_rank_violation(reg):
-    outer = SanitizedLock("WeightCache._lock", reg=reg)          # rank 40
-    inner = SanitizedLock("ProviderPrefetcher._lock", reg=reg)   # rank 10
-    assert outer.rank == LOCK_HIERARCHY["WeightCache._lock"]
+    outer = SanitizedLock("SuperNet._lock", reg=reg)             # rank 30
+    inner = SanitizedLock("_PoolEvaluator._lock", reg=reg)       # rank 20
+    assert outer.rank == LOCK_HIERARCHY["SuperNet._lock"]
     with outer:
         with inner:
             pass
     kinds = [v["kind"] for v in reg.violations()]
     assert "hierarchy" in kinds
     v = next(v for v in reg.violations() if v["kind"] == "hierarchy")
-    assert v["edge"] == ["WeightCache._lock", "ProviderPrefetcher._lock"]
-    assert v["ranks"] == [40, 10]
+    assert v["edge"] == ["SuperNet._lock", "_PoolEvaluator._lock"]
+    assert v["ranks"] == [30, 20]
 
 
 def test_sanctioned_hierarchy_order_is_clean(reg):
-    outer = SanitizedLock("ProviderPrefetcher._lock", reg=reg)
-    inner = SanitizedLock("WeightCache._lock", reg=reg)
+    outer = SanitizedLock("_PoolEvaluator._lock", reg=reg)
+    inner = SanitizedLock("SuperNet._lock", reg=reg)
     with outer:
         with inner:
             pass

@@ -2,24 +2,22 @@
 
 import json
 import os
-import time
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.checkpoint import (
-    AsyncCheckpointWriter,
-    CheckpointStore,
-    CorruptCheckpointError,
-    ProviderPrefetcher,
-    WeightCache,
-)
+from repro.checkpoint import CheckpointStore, CorruptCheckpointError
 from repro.cluster import (
     ChaosEvaluator,
     FaultModel,
     InjectedFault,
     ProcessPoolEvaluator,
     RetryPolicy,
+    SearchDriver,
     SerialEvaluator,
     SimulatedCluster,
     TaskFailure,
@@ -283,46 +281,20 @@ def test_scheduler_quarantines_corrupt_provider(space, problem, tmp_path):
     assert len(store.quarantined_keys()) == fs["quarantined"]
 
 
-def test_prefetcher_counts_corrupt_loads(tmp_path):
-    store = CheckpointStore(tmp_path)
-    store.save("good", {"a": np.ones(4, dtype=np.float32)})
-    store.save("bad", {"a": np.ones(4, dtype=np.float32)})
-    _truncate(store.path("bad"))
-    cache = WeightCache()
-    with ProviderPrefetcher(store, cache) as pf:
-        pf.request(["good", "bad"])
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            stats = pf.stats()
-            if stats["loaded"] + stats["errors"] >= 2:
-                break
-            time.sleep(0.01)
-    assert stats["loaded"] == 1
-    assert stats["errors"] == 1
-    assert stats["corrupt"] == 1
-    assert stats["last_error"].startswith("bad:")
-
-
-def test_writer_error_log_keeps_every_failure(tmp_path):
-    class FlakyStore(CheckpointStore):
+def test_failing_save_is_a_ckpt_write_fault(space, problem, tmp_path):
+    """A candidate save that raises costs the checkpoint, not the
+    search: it is booked as a ckpt_write fault and children cold-start."""
+    class FullDisk(CheckpointStore):
         def save(self, key, weights, meta=None):
-            if key.startswith("fail"):
-                raise OSError(f"disk gone for {key}")
-            return super().save(key, weights, meta)
+            raise OSError(f"disk full while writing {key}")
 
-    w = {"a": np.ones(2, dtype=np.float32)}
-    writer = AsyncCheckpointWriter(FlakyStore(tmp_path))
-    writer.save("fail1", w)
-    writer.save("ok", w)
-    writer.save("fail2", w)
-    with pytest.raises(OSError):
-        writer.flush()                      # raise-on-first-error contract
-    writer.flush()                          # errors cleared; healthy again
-    writer.close()
-    log = writer.error_log()
-    assert [k for k, _ in log] == ["fail1", "fail2"]    # both kept
-    assert all("disk gone" in msg for _, msg in log)
-    assert "ok" in writer.results()
+    strategy = RegularizedEvolution(space, rng=0, population_size=4,
+                                    sample_size=2)
+    trace = run_search(problem, strategy, 8, scheme="lcs",
+                       store=FullDisk(tmp_path), seed=0)
+    assert len(trace) == 8 and all(r.ok for r in trace)
+    assert trace.fault_stats["by_kind"]["ckpt_write"] == 8
+    assert all(r.provider_id is None and r.ckpt_bytes == 0 for r in trace)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +354,51 @@ def test_resume_replays_journal_bit_identically(space, problem, tmp_path):
     # the journal now holds the full resumed run
     _, replayed = TraceJournal.replay(journal)
     assert [r.candidate_id for r in replayed] == list(range(8))
+
+
+CRASH_N = 8
+
+
+def test_crash_at_generated_record_resumes_from_durable_parents(
+        space, problem, tmp_path):
+    """Kill an LCS search after k journaled records (no finalize),
+    resume it on the same store: the k records replay bit-identically,
+    every resumed child of an ok parent loads that parent's checkpoint,
+    and every candidate id lands exactly once."""
+    def strategy():
+        return RegularizedEvolution(space, rng=3, population_size=4,
+                                    sample_size=2)
+
+    def rows(records):
+        return [(r.candidate_id, r.arch_seq, r.score, r.provider_id)
+                for r in records]
+
+    full = run_search(problem, strategy(), CRASH_N, scheme="lcs",
+                      store=CheckpointStore(tmp_path / "full"), seed=3)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=10)
+    @given(k=st.integers(1, CRASH_N - 1))
+    def crash_at(k):
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        store, journal = CheckpointStore(root / "store"), root / "j.jsonl"
+        killed = SearchDriver(problem, strategy(), CRASH_N, scheme="lcs",
+                              store=store, seed=3, journal=journal)
+        while killed.completed < k:
+            killed.step()
+        killed.close()
+        resumed = run_search(problem, strategy(), CRASH_N, scheme="lcs",
+                             store=store, seed=3, resume=journal)
+        assert resumed.fault_stats["resumed_records"] == k
+        assert rows(resumed.records[:k]) == rows(full.records[:k])
+        ok_ids = {r.candidate_id for r in resumed.ok_records()}
+        children = [r for r in resumed.records[k:] if r.parent_id in ok_ids]
+        assert children
+        assert all(r.provider_id == r.parent_id for r in children)
+        assert sorted(r.candidate_id for r in resumed) == \
+            list(range(CRASH_N))
+
+    crash_at()
 
 
 def test_resume_of_complete_journal_is_a_noop_run(space, problem, tmp_path):

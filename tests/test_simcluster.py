@@ -114,7 +114,6 @@ PARITY_CASES = [
                  id="mnist-lcs-supernet"),
     pytest.param("cifar10", "lcs", {"zero_cost": "gradnorm"},
                  id="cifar10-lcs-gradnorm"),
-    pytest.param("mnist", "lcs", {"cache": True}, id="mnist-lcs-cache"),
 ]
 
 

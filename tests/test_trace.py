@@ -2,7 +2,9 @@
 
 import json
 
-from repro.cluster import Trace, TraceRecord
+import pytest
+
+from repro.cluster import Trace, TraceJournal, TraceRecord
 
 
 def record(cid, score, *, ok=True, start=0.0, end=1.0, overhead=0.0):
@@ -47,6 +49,22 @@ def test_jsonl_round_trip(tmp_path):
     assert len(loaded) == len(trace)
     for a, b in zip(loaded, trace):
         assert a == b
+    # record lines as written before the background checkpoint I/O was
+    # removed carry two retired keys; they load as a trace and replay as
+    # a journal, so such journals still resume
+    lines = path.read_text().splitlines()
+    rows = [json.loads(line) for line in lines[1:]]
+    for row in rows:
+        row.update(io_hidden=0.0, cache_hit=False)
+    old = tmp_path / "old.jsonl"
+    old.write_text("\n".join([lines[0]] + [json.dumps(r) for r in rows])
+                   + "\n")
+    assert list(Trace.load_jsonl(old)) == list(trace)
+    assert TraceJournal.replay(old)[1] == list(trace)
+    # only the retired keys are dropped: any other unknown key raises
+    rows[0]["io_ghost"] = 1.0
+    with pytest.raises(TypeError):
+        TraceRecord.from_json(rows[0])
 
 
 def test_jsonl_loads_header_of_retired_plan_engine(tmp_path):
